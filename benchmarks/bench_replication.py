@@ -6,16 +6,13 @@ services do."
 
 The bench throws a burst of users at the snapshot facility under an
 admission limit of 10 concurrent requests per machine, with 1 vs 3
-replicas, and reports served/rejected counts and how the page archives
-partition.
+machines, and reports served/rejected counts and how the admits
+partition.  A machine is one shard of a :class:`DiffServer` with
+``PER_MACHINE_LIMIT`` workers and no queue, so a request past the
+limit is shed with 503 at once.
 """
 
-from repro.core.snapshot.replication import (
-    AdmissionControl,
-    ReplicatedSnapshotService,
-)
-from repro.core.snapshot.service import SnapshotService
-from repro.core.snapshot.store import SnapshotStore
+from repro.serve import DiffServer
 from repro.simclock import SimClock
 from repro.web.client import UserAgent
 from repro.web.network import Network
@@ -26,7 +23,7 @@ PAGES = 12
 PER_MACHINE_LIMIT = 10
 
 
-def run_burst(replica_count):
+def run_burst(machines):
     clock = SimClock()
     network = Network(clock)
     origin = network.create_server("site.com")
@@ -34,17 +31,8 @@ def run_burst(replica_count):
     for i in range(PAGES):
         origin.set_page(f"/p{i}.html", generator.page())
     agent = UserAgent(network, clock)
-    replicas = [
-        SnapshotService(SnapshotStore(clock, agent))
-        for _ in range(replica_count)
-    ]
-    front = ReplicatedSnapshotService(replicas)
-    limiters = [
-        AdmissionControl(replica, clock, PER_MACHINE_LIMIT)
-        for replica in replicas
-    ]
-    # Admission control sits per machine, behind the router.
-    front.replicas = limiters  # type: ignore[assignment]
+    front = DiffServer(clock, agent, shards=machines,
+                       workers_per_shard=PER_MACHINE_LIMIT, queue_limit=0)
     aide = network.create_server("aide.att.com")
     aide.register_cgi("/cgi-bin/snapshot", front)
     client = UserAgent(network, clock)
@@ -60,8 +48,8 @@ def run_burst(replica_count):
             served += 1
         elif resp.status == 503:
             rejected += 1
-    per_replica = [limiter.admitted for limiter in limiters]
-    return served, rejected, per_replica
+    per_machine = [pool.admitted for pool in front.pools]
+    return served, rejected, per_machine
 
 
 def test_replication_burst(benchmark, sink):
@@ -74,10 +62,10 @@ def test_replication_burst(benchmark, sink):
              f"limit {PER_MACHINE_LIMIT}/machine")
     sink.row(f"{'replicas':>8s} {'served':>7s} {'rejected':>9s} "
              f"{'per-machine admits':>20s}")
-    for label, (served, rejected, per_replica) in (("1", single),
+    for label, (served, rejected, per_machine) in (("1", single),
                                                    ("3", triple)):
         sink.row(f"{label:>8s} {served:7d} {rejected:9d} "
-                 f"{str(per_replica):>20s}")
+                 f"{str(per_machine):>20s}")
 
     # One machine saturates at its limit; three machines triple the
     # admitted load for the same burst.

@@ -44,6 +44,7 @@ from repro.serve import (
     seed_world,
     url_fingerprint,
 )
+from repro.web.url import canonical_url
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -187,7 +188,7 @@ def test_replicated_shards_survive_chaos(sink):
     # -- gate: zero lost revisions -------------------------------------
     lost = 0
     for url, revs in chaos_revisions.items():
-        key = chaos_server.store.router.canonical(url)
+        key = canonical_url(url)
         for shard in chaos_mgr.replica_set(key):
             archive = chaos_server.store.shards[shard].archives.get(key)
             if archive is None or archive.revision_count < len(revs):
@@ -347,7 +348,7 @@ def _scrub_convergence_gate(sink):
     mgr: ReplicationManager = server.replicator
     diverged = []
     for url in world.urls[:16]:
-        key = server.store.router.canonical(url)
+        key = canonical_url(url)
         victim = mgr.replica_set(key)[1]
         shard = server.store.shards[victim]
         count = shard.archives[key].revision_count

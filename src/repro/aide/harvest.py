@@ -40,7 +40,7 @@ from ..core.w3newer.checker import content_checksum
 from ..simclock import CronScheduler, SimClock
 from ..web.client import UserAgent
 from ..web.http import NetworkError
-from ..web.url import parse_url
+from ..web.url import canonical_url
 
 __all__ = ["DistributedRepository", "RegionalCache", "ChangeNotice"]
 
@@ -87,13 +87,13 @@ class DistributedRepository:
         """Begin tracking a page (negotiated with its provider)."""
         if mode not in ("poll", "provider-notify"):
             raise ValueError(f"unknown discovery mode: {mode}")
-        key = str(parse_url(url).normalized())
+        key = canonical_url(url)
         self._modes[key] = mode
         if key not in self._checksums:
             self._refresh(key, notify=False)
 
     def subscribe(self, url: str, cache: "RegionalCache") -> None:
-        key = str(parse_url(url).normalized())
+        key = canonical_url(url)
         subscribers = self._subscribers.setdefault(key, [])
         if cache not in subscribers:
             subscribers.append(cache)
@@ -104,14 +104,14 @@ class DistributedRepository:
         """The replicated page content — served without touching the
         origin ("pages would already be replicated, with server load
         distributed")."""
-        return self._replicas.get(str(parse_url(url).normalized()))
+        return self._replicas.get(canonical_url(url))
 
     # ------------------------------------------------------------------
     # Discovery
     # ------------------------------------------------------------------
     def provider_changed(self, url: str) -> None:
         """The content provider tells us a page changed (push mode)."""
-        key = str(parse_url(url).normalized())
+        key = canonical_url(url)
         if self._modes.get(key) != "provider-notify":
             raise ValueError(f"{key} is not in provider-notify mode")
         self._refresh(key, notify=True)
@@ -180,7 +180,7 @@ class RegionalCache:
         The upstream subscription happens once per page, however many
         local users register — the fan-in the design is about.
         """
-        key = str(parse_url(url).normalized())
+        key = canonical_url(url)
         first = key not in self._interests
         self._interests.setdefault(key, set()).add(user)
         if first:

@@ -22,7 +22,7 @@ from ..core.htmldiff.api import HtmlDiffResult, html_diff
 from ..core.snapshot.store import RememberResult, SnapshotError, SnapshotStore
 from ..web.cgi import encode_query_string
 from ..web.http import NetworkError
-from ..web.url import parse_url
+from ..web.url import canonical_url
 
 __all__ = ["StoredForm", "PostFormRegistry"]
 
@@ -58,7 +58,7 @@ class PostFormRegistry:
                   fields: Dict[str, str]) -> StoredForm:
         form = StoredForm(
             name=name,
-            action_url=str(parse_url(action_url).normalized()),
+            action_url=canonical_url(action_url),
             fields=tuple(sorted(fields.items())),
         )
         self.forms[name] = form

@@ -23,7 +23,7 @@ from ..core.w3newer.checker import content_checksum
 from ..html.lexer import Tag, tokenize_html
 from ..simclock import CronScheduler, SimClock
 from ..web.http import NetworkError
-from ..web.url import join_url, parse_url
+from ..web.url import canonical_url, join_url, parse_url
 
 __all__ = ["CentralTracker", "TrackerReportRow", "extract_links"]
 
@@ -77,7 +77,7 @@ class CentralTracker:
 
     # ------------------------------------------------------------------
     def subscribe(self, user: str, url: str) -> None:
-        key = str(parse_url(url).normalized())
+        key = canonical_url(url)
         self.subscriptions.setdefault(user, set()).add(key)
 
     def add_crawl_root(self, user: str, url: str, depth: int = 1,
@@ -87,7 +87,7 @@ class CentralTracker:
         "a single entry in one's hotlist could result in notification
         whenever any of those pages is modified."
         """
-        key = str(parse_url(url).normalized())
+        key = canonical_url(url)
         self.subscribe(user, key)
         self.crawl_roots[key] = (depth, same_host_only)
 
@@ -198,7 +198,7 @@ class CentralTracker:
 
     def mark_seen(self, user: str, url: str) -> None:
         """The user caught up on a page via the service."""
-        key = str(parse_url(url).normalized())
+        key = canonical_url(url)
         archive = self.store.archives.get(key)
         if archive is None or archive.head_revision is None:
             return

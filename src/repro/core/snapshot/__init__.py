@@ -7,8 +7,6 @@ trick against httpd timeouts.
 """
 
 from .auth import AccountRegistry, AuthenticatedSnapshotService, AuthError
-from .checkoutcache import CheckoutCache
-from .diffcache import DiffCache
 from .journal import (
     JournalError,
     JournalRecord,
@@ -24,7 +22,6 @@ from .journal import (
 from .keepalive import CgiTimeout, KeepAlive, KeepAliveResult
 from .locking import LockError, LockManager, RequestCoalescer
 from .options import StoreOptions
-from .replication import AdmissionControl, ReplicatedSnapshotService
 from .persistence import (
     JournalRecoveryWarning,
     StoreVerification,
@@ -56,11 +53,9 @@ __all__ = [
     "AuthenticatedSnapshotService",
     "AuthError",
     "CgiTimeout",
-    "CheckoutCache",
     "CRASH_POINTS",
     "CrashPlan",
     "DeadlockError",
-    "DiffCache",
     "Failpoints",
     "JournalError",
     "JournalRecord",
@@ -87,8 +82,6 @@ __all__ = [
     "KeepAliveResult",
     "LockManager",
     "RequestCoalescer",
-    "AdmissionControl",
-    "ReplicatedSnapshotService",
     "OperationCosts",
     "SnapshotService",
     "RememberResult",

@@ -24,6 +24,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ...web.url import canonical_url
 from .store import RememberResult, SnapshotStore
 
 __all__ = ["AuthError", "AccountRegistry", "AuthenticatedSnapshotService"]
@@ -151,6 +152,4 @@ class AuthenticatedSnapshotService:
         """Even authenticated users only learn *opaque ids*, not email
         addresses — the linkage the redesign set out to break."""
         self.registry.resolve(token)  # must be logged in to ask at all
-        return self.store.users.users_tracking(
-            str(self.store._canonical(url))
-        )
+        return self.store.users.users_tracking(canonical_url(url))

@@ -2,9 +2,8 @@
 
 "The facility could also impose a limit on the number of simultaneous
 users, or replicate itself among multiple computers, as many W3
-services do."  :class:`~.replication.ReplicatedSnapshotService` already
-partitions whole *service replicas* by a modulo hash; this module is
-the storage-layer generalization the diff server builds on:
+services do."  This module is the storage layer the diff server
+(:mod:`repro.serve.server`) builds that replication on:
 
 * :class:`ShardRouter` — **rendezvous (highest-random-weight) hashing**
   from normalized URL to shard index.  Unlike ``hash mod N``, growing
@@ -41,7 +40,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ...obs import NOOP as NOOP_OBS
 from ...simclock import SimClock
 from ...web.client import UserAgent
-from ...web.url import parse_url
+from ...web.url import canonical_url
 from ..htmldiff.api import HtmlDiffResult
 from ..htmldiff.options import HtmlDiffOptions
 from .options import StoreOptions
@@ -115,13 +114,9 @@ class ShardRouter:
     def _score(index: int, key: str) -> bytes:
         return hashlib.sha256(f"{index}|{key}".encode("utf-8")).digest()
 
-    @staticmethod
-    def canonical(url: str) -> str:
-        return str(parse_url(url).normalized())
-
     def shard_for(self, url: str) -> int:
         """The winning shard index for ``url`` (no counter side effect)."""
-        key = self.canonical(url)
+        key = canonical_url(url)
         best_index = 0
         best_score = self._score(0, key)
         for index in range(1, self.shard_count):
@@ -155,7 +150,7 @@ class ShardRouter:
                 f"shard(s); add shards before raising the replication "
                 f"factor"
             )
-        key = self.canonical(url)
+        key = canonical_url(url)
         ranked = sorted(
             range(self.shard_count),
             key=lambda index: self._score(index, key),

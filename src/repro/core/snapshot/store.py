@@ -20,17 +20,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ...html.lexer import Tag, tokenize_html
+from ...lru import LruCache
 from ...obs import NOOP as NOOP_OBS
 from ...rcs.archive import RcsArchive, RevisionInfo, UnknownRevision
 from ...simclock import SimClock
 from ...web.client import UserAgent
 from ...web.guards import ContentGuard, ContentGuardError
 from ...web.http import NetworkError
-from ...web.url import parse_url
+from ...web.url import canonical_url
 from ..htmldiff.api import HtmlDiffResult, html_diff
 from ..htmldiff.options import HtmlDiffOptions
-from .checkoutcache import CheckoutCache
-from .diffcache import DiffCache
 from .locking import LockManager, RequestCoalescer
 from .options import StoreOptions
 from .usercontrol import UserControl
@@ -40,7 +39,8 @@ if TYPE_CHECKING:
     from .wal import Transaction, WriteAheadLog
 
 __all__ = ["SnapshotStore", "RememberResult", "SnapshotError",
-           "ContentQuarantined", "StoreOptions", "add_base_directive"]
+           "ContentQuarantined", "StoreOptions", "add_base_directive",
+           "diff_cache_key"]
 
 
 class SnapshotError(Exception):
@@ -97,6 +97,19 @@ def add_base_directive(html: str, original_url: str) -> str:
     return base + html
 
 
+def diff_cache_key(url: str, rev_old: str, rev_new: str,
+                   options: Optional[HtmlDiffOptions]) -> Tuple:
+    """The identity of one diff request in the store's diff cache.
+
+    Revisions are stringified (the store resolves them from several
+    sources) and the options are flattened to a tuple, so equal
+    configurations hit regardless of object identity while two
+    presentation modes never share an entry.
+    """
+    options_key = options.cache_key() if options is not None else ()
+    return (url, str(rev_old), str(rev_new), options_key)
+
+
 class SnapshotStore:
     """One snapshot service instance (the AIDE server's heart)."""
 
@@ -130,14 +143,16 @@ class SnapshotStore:
         self.coalescer = RequestCoalescer(clock, ttl=diff_cache_ttl)
         #: Diffs of stored revision pairs are immutable, so they are
         #: shared across users and across time, not just across the
-        #: coalescer's same-instant window.  ``diff_cache_size=0``
-        #: disables the cache.
-        self.diff_cache = DiffCache(capacity=diff_cache_size)
-        #: Checked-out revision texts are immutable too; this cache sits
-        #: under the diff cache so a Diff link checks out each endpoint
-        #: once, shared with view/view_at/time travel.
-        self.checkout_cache = CheckoutCache(
-            capacity=self.options.checkout_cache_size
+        #: coalescer's same-instant window (Section 8.3: many users who
+        #: have seen versions N and N+1 share one HtmlDiff run).  Keyed
+        #: by :func:`diff_cache_key`; ``diff_cache_size=0`` disables it.
+        self.diff_cache: LruCache[HtmlDiffResult] = LruCache(diff_cache_size)
+        #: Checked-out revision texts are immutable too; this cache,
+        #: keyed ``(url, revision)``, sits under the diff cache so a Diff
+        #: link checks out each endpoint once, shared with
+        #: view/view_at/time travel.
+        self.checkout_cache: LruCache[str] = LruCache(
+            self.options.checkout_cache_size
         )
         #: Local cached copy of the most recent fetch per URL (the
         #: paper's "locally cached copy of the HTML document").
@@ -195,11 +210,8 @@ class SnapshotStore:
             self.failpoints.step(point)
 
     # ------------------------------------------------------------------
-    def _canonical(self, url: str) -> str:
-        return str(parse_url(url).normalized())
-
     def archive_for(self, url: str) -> RcsArchive:
-        key = self._canonical(url)
+        key = canonical_url(url)
         archive = self.archives.get(key)
         if archive is None:
             archive = RcsArchive(
@@ -215,7 +227,7 @@ class SnapshotStore:
         """Fetch the live page and check it in for ``user``.  (The
         check-in transaction is bracketed by a ``snapshot.remember``
         span; see :mod:`repro.obs`.)"""
-        with self.obs.span("snapshot.remember", url=self._canonical(url),
+        with self.obs.span("snapshot.remember", url=canonical_url(url),
                            user=user) as span:
             self._c_remembers.inc()
             result = self._remember_impl(user, url)
@@ -241,7 +253,7 @@ class SnapshotStore:
         repeating the work" (Section 4.2) — and each requester's
         control file is still stamped individually.
         """
-        key = self._canonical(url)
+        key = canonical_url(url)
         if self.locks.scheduler is not None:
             return self._remember_queued(user, key)
         if not self.options.coalesce_checkins:
@@ -380,7 +392,7 @@ class SnapshotStore:
         lock, and the new head is fanned out to every requesting user's
         control file.
         """
-        key = self._canonical(url)
+        key = canonical_url(url)
         body = self.coalescer.do(
             f"fetch:{key}:{self.clock.now}", lambda: self._fetch(key)
         )
@@ -394,7 +406,7 @@ class SnapshotStore:
         remember() would double the request count the Section 8.3
         economy-of-scale argument is about.
         """
-        key = self._canonical(url)
+        key = canonical_url(url)
         txn = self._begin("checkin", key, user, (user,))
         try:
             body = self._admit_supplied(key, body)
@@ -414,7 +426,7 @@ class SnapshotStore:
         user.  Result order matches ``users``; only the first requester
         reports ``changed`` (exactly what N sequential check-ins of the
         same body would have reported)."""
-        key = self._canonical(url)
+        key = canonical_url(url)
         author = users[0] if users else "aide"
         with self.obs.span("snapshot.checkin_batch", url=key,
                            users=len(users)):
@@ -575,7 +587,7 @@ class SnapshotStore:
         page could retrieve HtmlDiff(pageN, pageN+1) with a single
         invocation".
         """
-        key = self._canonical(url)
+        key = canonical_url(url)
         with self.obs.span("snapshot.diff", url=key, user=user) as span:
             self._c_diffs.inc()
             result = self._diff_impl(user, key, rev_old, rev_new)
@@ -614,8 +626,7 @@ class SnapshotStore:
             except SnapshotError:
                 pass
             rev_new = archive.head_revision
-        shared_key = DiffCache.make_key(key, rev_old, rev_new,
-                                        self.diff_options)
+        shared_key = diff_cache_key(key, rev_old, rev_new, self.diff_options)
         cached = self.diff_cache.get(shared_key)
         if cached is not None:
             return cached
@@ -650,12 +661,12 @@ class SnapshotStore:
         need invalidation — a new check-in is a new key."""
         number = revision if revision is not None else archive.head_revision
         if number is not None:
-            cached = self.checkout_cache.get(key, number)
+            cached = self.checkout_cache.get((key, number))
             if cached is not None:
                 return cached
         text = archive.checkout(number)
         if number is not None:
-            self.checkout_cache.put(key, number, text)
+            self.checkout_cache.put((key, number), text)
         return text
 
     # ------------------------------------------------------------------
@@ -667,7 +678,7 @@ class SnapshotStore:
         "present the user with a set of versions seen by that person
         regardless of what other versions are also stored."
         """
-        key = self._canonical(url)
+        key = canonical_url(url)
         archive = self.archives.get(key)
         if archive is None:
             raise SnapshotError(f"no snapshots of {key}")
@@ -677,7 +688,7 @@ class SnapshotStore:
     def view(self, url: str, revision: Optional[str] = None,
              rewrite_base: bool = True) -> str:
         """A stored version's text, BASE-rewritten by default."""
-        key = self._canonical(url)
+        key = canonical_url(url)
         self._c_views.inc()
         archive = self.archives.get(key)
         if archive is None or archive.revision_count == 0:
@@ -698,7 +709,7 @@ class SnapshotStore:
         capability of file systems such as 3DFS."  Raises when nothing
         that old is archived.
         """
-        key = self._canonical(url)
+        key = canonical_url(url)
         self._c_views.inc()
         archive = self.archives.get(key)
         if archive is None or archive.revision_count == 0:

@@ -121,8 +121,8 @@ class Transaction:
             # including the coalescer's same-instant check-in slot,
             # which would otherwise serve the rolled-back outcome to a
             # retry at the same simulated instant.
-            store.checkout_cache.invalidate_revision(url, revision)
-            store.diff_cache.invalidate_url(url)
+            store.checkout_cache.discard((url, revision))
+            store.diff_cache.invalidate(lambda key: key[0] == url)
             store.coalescer.invalidate(f"diff:{url}:")
             store.coalescer.invalidate(f"checkin:{url}:")
 

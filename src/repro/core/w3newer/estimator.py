@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional
 
 from ...simclock import DAY, WEEK
-from ...web.url import parse_url
+from ...web.url import canonical_url
 from .statuscache import StatusCache
 
 __all__ = ["UrlEstimate", "ChangeRateEstimator"]
@@ -42,11 +42,6 @@ DEFAULT_PRIOR_RATE = 1.0 / (4 * WEEK)
 
 #: Weight of the prior, in pseudo-observations.
 DEFAULT_PRIOR_WEIGHT = 2.0
-
-
-def _canonical(url: str) -> str:
-    """Normalized URL key (same canonicalization as the status cache)."""
-    return str(parse_url(url).normalized())
 
 
 @dataclass
@@ -93,7 +88,7 @@ class ChangeRateEstimator:
     # ------------------------------------------------------------------
     def estimate_for(self, url: str) -> UrlEstimate:
         """The estimate for ``url``, created empty if absent."""
-        key = _canonical(url)
+        key = canonical_url(url)
         estimate = self._estimates.get(key)
         if estimate is None:
             estimate = UrlEstimate(url=key)
@@ -102,7 +97,7 @@ class ChangeRateEstimator:
 
     def peek(self, url: str) -> Optional[UrlEstimate]:
         """The estimate if one exists; never creates."""
-        return self._estimates.get(_canonical(url))
+        return self._estimates.get(canonical_url(url))
 
     def __len__(self) -> int:
         return len(self._estimates)
@@ -267,7 +262,7 @@ class ChangeRateEstimator:
         due = self.next_due(url, last_checked)
         elapsed = None if last_checked is None else max(0, now - last_checked)
         return {
-            "url": _canonical(url),
+            "url": canonical_url(url),
             "tracked": estimate is not None,
             "checks": estimate.checks if estimate else 0,
             "changes": estimate.changes if estimate else 0,

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...simclock import NEVER
 from ...web.proxy import ProxyCache
-from ...web.url import parse_url
+from ...web.url import canonical_url, parse_url
 from .checker import CheckerFlags
 from .errors import CheckOutcome, CheckSource, UrlState, quarantine_backoff
 from .estimator import ChangeRateEstimator
@@ -246,7 +246,7 @@ def build_schedule(
 
     for index, entry in enumerate(entries):
         url = entry.url
-        canon = str(parse_url(url).normalized())
+        canon = canonical_url(url)
         owner = owners.get(canon)
         if owner is not None:
             # Same page elsewhere in the hotlist: one fetch, fanned out.

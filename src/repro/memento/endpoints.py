@@ -39,6 +39,7 @@ from ..web.http import (
     make_response,
     parse_http_date,
 )
+from ..web.url import canonical_url
 from .core import (
     ACCEPT_DATETIME,
     LINK_FORMAT,
@@ -115,7 +116,7 @@ class MementoEndpoints:
         verdict (the URL's only history is "we refused it"); no archive
         at all → the familiar 404.
         """
-        key = self.store._canonical(url)
+        key = canonical_url(url)
         archive = self.store.archives.get(key)
         if archive is not None and archive.revision_count > 0:
             return key, archive

@@ -8,8 +8,8 @@ stateful server object composing
   behind stable rendezvous routing,
 * a bounded per-shard :class:`~.pool.WorkerPool` (admission queue +
   deterministic virtual-time queueing on the shared sim clock),
-* a per-shard :class:`~.cache.ResponseCache` above the store's
-  ``DiffCache``/``CheckoutCache``,
+* a per-shard :class:`~.cache.ResponseCache` above the store's diff
+  and checkout caches (all three :class:`~repro.lru.LruCache`),
 * backpressure: queue-full requests get **503 + Retry-After**, which
   :class:`~repro.web.resilience.ResilientAgent` already honors,
 * redundancy: a :class:`~.replication.ReplicationManager` keeps every

@@ -2,8 +2,7 @@
 
 Paper Section 4.2: "These loads can be alleviated by caching the output
 of HtmlDiff for a while."  The store already caches *diff results*
-(:class:`~repro.core.snapshot.diffcache.DiffCache`) and *checkout
-texts* (:class:`~repro.core.snapshot.checkoutcache.CheckoutCache`);
+and *checkout texts* (two :class:`~repro.lru.LruCache` instances);
 this layer caches the **finished HTTP response** — rendered HTML,
 keep-alive padding and all — so a repeat request never reaches the
 store at all.
@@ -13,7 +12,7 @@ not produce different bytes.  Three request shapes qualify:
 
 * ``action=view&rev=R`` — a pinned revision's text is immutable;
 * ``action=diff&r1=A&r2=B`` — the diff of two pinned revisions is
-  immutable (the store's own DiffCache relies on the same fact);
+  immutable (the store's own diff cache relies on the same fact);
 * ``action=view&date=D`` — resolves through ``revision_at``; a *new*
   check-in can change the resolution, so these entries are **volatile**
   and are dropped for a URL whenever the server routes a mutating
@@ -33,9 +32,9 @@ LRU-bounded; the hit counters feed the ``serve.cache.*`` metrics.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Hashable, Optional, Tuple
 
+from ..lru import LruCache
 from ..web.http import Response
 
 __all__ = ["ResponseCache", "cacheable_key"]
@@ -85,45 +84,23 @@ def _copy_response(response: Response) -> Response:
                     body=response.body)
 
 
-class ResponseCache:
+class ResponseCache(LruCache[Response]):
     """LRU cache of finished responses for one shard."""
 
     def __init__(self, capacity: int = 512) -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, Response]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
+        super().__init__(capacity)
 
-    # ------------------------------------------------------------------
     def get(self, key: Hashable) -> Optional[Response]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return _copy_response(entry)
+        entry = super().get(key)
+        return None if entry is None else _copy_response(entry)
 
     def put(self, key: Hashable, response: Response) -> None:
-        if self.capacity == 0:
-            return
         # Only successful pages — plus the TimeGate's 302, which is a
         # deterministic negotiation *result* — are worth replaying;
         # error pages are cheap to regenerate and may reflect transient
         # state.
-        if response.status not in (200, 302):
-            return
-        entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
-        entries[key] = _copy_response(response)
-        while len(entries) > self.capacity:
-            entries.popitem(last=False)
-            self.evictions += 1
+        if response.status in (200, 302):
+            super().put(key, _copy_response(response))
 
     def invalidate_url(self, url: str, volatile_only: bool = True) -> int:
         """Drop cached entries for ``url``.
@@ -136,35 +113,5 @@ class ResponseCache:
         history), so after a failover or read repair even "immutable"
         pinned entries may describe revisions that no longer exist.
         """
-        doomed = [
-            key for key in self._entries
-            if key[1] == url and (key[-1] is True or not volatile_only)
-        ]
-        for key in doomed:
-            del self._entries[key]
-        self.invalidations += len(doomed)
-        return len(doomed)
-
-    def clear(self) -> int:
-        """Drop every entry (a crashed-and-recovered shard's cache may
-        describe state the crash destroyed); returns how many."""
-        doomed = len(self._entries)
-        self._entries.clear()
-        self.invalidations += doomed
-        return doomed
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> Dict[str, object]:
-        lookups = self.hits + self.misses
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": (self.hits / lookups) if lookups else 0.0,
-        }
+        return self.invalidate(lambda key: key[1] == url and (
+            key[-1] is True or not volatile_only))

@@ -227,7 +227,7 @@ class ClosedLoopLoad:
 
     The request mix (drawn per (user, step) from the seed): pinned
     views, pinned-pair diffs, history pages, and date-resolved views —
-    every action the response cache and DiffCache can help with, none
+    every action the response cache and diff cache can help with, none
     that mutates the archive.
     """
 

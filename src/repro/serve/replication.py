@@ -49,6 +49,7 @@ from ..core.snapshot.journal import JOURNAL_NAME, frame_payload, scan_frames
 from ..core.snapshot.persistence import JournalRecoveryWarning, load_store
 from ..core.snapshot.sharding import ShardedSnapshotStore, shard_dirname
 from ..core.snapshot.store import SnapshotStore
+from ..web.url import canonical_url
 
 __all__ = [
     "ShardFault",
@@ -476,7 +477,7 @@ class ReplicationManager:
     # Routing
     # ------------------------------------------------------------------
     def replica_set(self, url: str) -> Tuple[int, ...]:
-        key = self.store.router.canonical(url)
+        key = canonical_url(url)
         cached = self._replica_sets.get(key)
         if cached is None:
             cached = tuple(self.store.router.replicas_for(
@@ -487,7 +488,7 @@ class ReplicationManager:
     def serving_index(self, url: str) -> Optional[int]:
         """The freshest live replica for ``url`` (rendezvous order
         breaks ties), or None when the whole replica set is down."""
-        key = self.store.router.canonical(url)
+        key = canonical_url(url)
         replicas = self.replica_set(key)
         best: Optional[int] = None
         best_count = -1
@@ -533,7 +534,7 @@ class ReplicationManager:
         """
         src = self.store.shards[source]
         dst = self.store.shards[target]
-        key = self.store.router.canonical(url)
+        key = canonical_url(url)
         moved = 0
         src_archive = src.archives.get(key)
         dst_archive = dst.archives.get(key)
@@ -546,9 +547,8 @@ class ReplicationManager:
                     # Divergent history: drop and rebuild.  The old
                     # revisions' cached checkouts are now lies.
                     self.divergence_rebuilds += 1
-                    for info in dst_archive.revisions():
-                        dst.checkout_cache.invalidate_revision(
-                            key, info.number)
+                    dst.checkout_cache.invalidate(
+                        lambda cached: cached[0] == key)
                     del dst.archives[key]
                     dst.persisted_revisions.pop(key, None)
                 dst_archive = dst.archive_for(key)
@@ -557,15 +557,14 @@ class ReplicationManager:
                 dst_archive.checkin(text, info.date, author=info.author,
                                     log=info.log)
                 moved += len(text)
-            dst.diff_cache.invalidate_url(key)
+            dst.diff_cache.invalidate(lambda cached: cached[0] == key)
         elif dst_archive is not None:
             # The source holds nothing for this URL; mirror that.
             self.divergence_rebuilds += 1
-            for info in dst_archive.revisions():
-                dst.checkout_cache.invalidate_revision(key, info.number)
+            dst.checkout_cache.invalidate(lambda cached: cached[0] == key)
             del dst.archives[key]
             dst.persisted_revisions.pop(key, None)
-            dst.diff_cache.invalidate_url(key)
+            dst.diff_cache.invalidate(lambda cached: cached[0] == key)
         moved += self._sync_stamps(src, dst, key)
         page = src.page_cache.get(key)
         if page is None:
@@ -639,7 +638,7 @@ class ReplicationManager:
         exactly those differences (and nothing when the copies really
         are identical).
         """
-        key = self.store.router.canonical(url)
+        key = canonical_url(url)
         peers = [shard for shard in self.replica_set(key)
                  if self.alive[shard] and shard != target]
         source = self._freshest(key, peers)
@@ -661,7 +660,7 @@ class ReplicationManager:
     def on_write(self, url: str, serving: int) -> None:
         """Fan a completed mutation out: live peers get an immediate
         state transfer, dead peers get a hint."""
-        key = self.store.router.canonical(url)
+        key = canonical_url(url)
         for shard in self.replica_set(key):
             if shard == serving:
                 continue
@@ -676,7 +675,7 @@ class ReplicationManager:
         counts differ), converge the laggards to the serving copy
         before the response leaves — the next read may be served by
         the replica that was behind."""
-        key = self.store.router.canonical(url)
+        key = canonical_url(url)
         serving_archive = self.store.shards[serving].archives.get(key)
         serving_count = (serving_archive.revision_count
                          if serving_archive is not None else 0)
@@ -752,7 +751,7 @@ class ReplicationManager:
     def converged(self, url: str) -> bool:
         """Do every URL's live replicas hold identical state?  (The
         test/benchmark witness, not a serving-path operation.)"""
-        key = self.store.router.canonical(url)
+        key = canonical_url(url)
         replicas = [shard for shard in self.replica_set(key)
                     if self.alive[shard]]
         if len(replicas) < 2:

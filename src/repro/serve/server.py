@@ -15,7 +15,7 @@ single front end:
   :class:`~repro.web.resilience.ResilientAgent` honors) instead of
   joining an unbounded-latency convoy;
 * each shard has a :class:`~.cache.ResponseCache` above the store's
-  DiffCache/CheckoutCache, so a repeated pinned-revision request costs
+  diff and checkout caches, so a repeated pinned-revision request costs
   one dictionary lookup;
 * queue depth, busy workers, shard routing, cache hit rate, shed rate,
   and per-action latency histograms all land in :mod:`repro.obs`.
@@ -43,14 +43,15 @@ from ..core.snapshot.sharding import (
     append_sharded,
     verify_sharded,
 )
-from ..core.snapshot.diffcache import DiffCache
 from ..core.snapshot.options import StoreOptions
+from ..core.snapshot.store import diff_cache_key
 from ..memento.core import ACCEPT_DATETIME
 from ..obs import NOOP as NOOP_OBS, to_json, to_prometheus
 from ..simclock import SimClock
 from ..web.cgi import parse_query_string
 from ..web.client import UserAgent
 from ..web.http import Request, Response, make_response
+from ..web.url import canonical_url
 from .cache import ResponseCache, cacheable_key
 from .pool import Admission, Rejection, WorkerPool
 from .replication import ReplicationManager, ShardFaultPlan
@@ -263,7 +264,7 @@ class DiffServer:
         if key is not None:
             cache.put(key, response)
         if mutates:
-            cache.invalidate_url(self._canonical(url))
+            cache.invalidate_url(canonical_url(url))
             if self.replicator is not None:
                 self.replicator.on_write(url, shard_index)
             self._note_mutation()
@@ -276,11 +277,8 @@ class DiffServer:
         TimeMaps — are dropped, exactly as a dispatched ``remember``
         would have dropped them."""
         result = self.store.checkin_content(user, url, body)
-        try:
-            index = self.store.router.route(url)
-        except Exception:
-            index = 0
-        self.response_caches[index].invalidate_url(self._canonical(url))
+        index = self.store.shard_for(url)
+        self.response_caches[index].invalidate_url(canonical_url(url))
         self._note_mutation()
         return result
 
@@ -303,21 +301,11 @@ class DiffServer:
     # ------------------------------------------------------------------
     # Routing, caching, cost model
     # ------------------------------------------------------------------
-    def _canonical(self, url: str) -> str:
-        try:
-            return self.store.router.canonical(url)
-        except Exception:
-            return url
-
     def _shard_index(self, url: str) -> int:
-        """No-URL requests (the registration form) go to shard 0, like
-        the replicated service routed them to replica 0."""
+        """No-URL requests (the registration form) go to shard 0."""
         if not url:
             return 0
-        try:
-            index = self.store.router.route(url)
-        except Exception:
-            return 0
+        index = self.store.router.route(url)
         self.store._c_routes[index].inc()
         return index
 
@@ -326,7 +314,7 @@ class DiffServer:
         if not url:
             return None
         canonical = dict(params)
-        canonical["url"] = self._canonical(url)
+        canonical["url"] = canonical_url(url)
         if canonical.get("action") == "timegate" and request is not None:
             # Datetime negotiation varies on a header, not a query
             # parameter; fold it into the key so two targets never
@@ -353,7 +341,7 @@ class DiffServer:
         """Simulated worker-seconds one request occupies a worker.
 
         The response cache turns any request into a memory read; a
-        pinned diff whose result is already in the shard's DiffCache
+        pinned diff whose result is already in the shard's diff cache
         skips the HtmlDiff run; everything else mirrors the
         :class:`OperationCosts` arithmetic the CGI service charges.
         """
@@ -366,11 +354,11 @@ class DiffServer:
             r1, r2 = params.get("r1"), params.get("r2")
             if r1 is not None and r2 is not None:
                 store = self.store.shards[shard_index]
-                shared_key = DiffCache.make_key(
-                    self._canonical(params.get("url", "")), r1, r2,
+                shared_key = diff_cache_key(
+                    canonical_url(params.get("url", "")), r1, r2,
                     store.diff_options,
                 )
-                if store.diff_cache.peek(shared_key):
+                if shared_key in store.diff_cache:
                     return costs.cheap
                 return costs.htmldiff
             return costs.fetch + costs.htmldiff

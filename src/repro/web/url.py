@@ -10,19 +10,24 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
-__all__ = ["Url", "parse_url", "join_url"]
+__all__ = ["Url", "parse_url", "join_url", "canonical_url"]
 
 _URL_RE = re.compile(
     r"^(?:(?P<scheme>[a-zA-Z][a-zA-Z0-9+.\-]*):)?"
     r"(?://(?P<host>[^/:?#]*)(?::(?P<port>\d+))?)?"
     r"(?P<path>[^?#]*)"
     r"(?:\?(?P<query>[^#]*))?"
-    r"(?:#(?P<fragment>.*))?$"
+    r"(?:#(?P<fragment>.*))?$",
+    re.DOTALL,
 )
 
 _DEFAULT_PORTS = {"http": 80, "https": 443, "gopher": 70, "ftp": 21}
+
+#: Schemes whose URLs always carry an authority (``//host``).
+_AUTHORITY_SCHEMES = ("http", "https", "ftp", "file")
 
 
 @dataclass(frozen=True)
@@ -58,21 +63,31 @@ class Url:
 
     def normalized(self) -> "Url":
         """Canonical form: lowercased scheme/host, default port dropped,
-        empty path of a host-full URL becomes "/", fragment dropped.
+        fragment dropped, and the path of a host-full URL (or a non-empty
+        one under a scheme in ``_AUTHORITY_SCHEMES``) made absolute, so
+        an empty path becomes "/".
 
         Fragments never reach the server, so two URLs differing only in
-        fragment are the same page for tracking purposes.
+        fragment are the same page for tracking purposes.  Whitespace
+        the dropped fragment leaves at the end goes too, as
+        :func:`parse_url` would strip it: the string form of a
+        normalized URL parses back to itself.
         """
         scheme = self.scheme.lower()
         host = self.host.lower()
         port = self.port
         if port is not None and port == _DEFAULT_PORTS.get(scheme):
             port = None
-        path = self.path
-        if host and not path:
-            path = "/"
+        path, query = self.path, self.query
+        if query is not None:
+            query = query.rstrip()
+        else:
+            path = path.rstrip()
+        if ((host or (path and scheme in _AUTHORITY_SCHEMES))
+                and not path.startswith("/")):
+            path = "/" + path
         return Url(scheme=scheme, host=host, port=port, path=path,
-                   query=self.query, fragment=None)
+                   query=query, fragment=None)
 
     def without_fragment(self) -> "Url":
         return replace(self, fragment=None)
@@ -81,7 +96,11 @@ class Url:
         out = ""
         if self.scheme:
             out += f"{self.scheme}:"
-        if self.host or self.scheme in ("http", "https", "ftp", "file"):
+        # Keep an empty authority where dropping it would lose the port
+        # or let a "//" path be read back as a host.
+        if (self.host or self.port is not None
+                or self.scheme in _AUTHORITY_SCHEMES
+                or self.path.startswith("//")):
             out += f"//{self.netloc}"
         out += self.path
         if self.query is not None:
@@ -106,6 +125,15 @@ def parse_url(text: str) -> Url:
         query=parts["query"],
         fragment=parts["fragment"],
     )
+
+
+@lru_cache(maxsize=1 << 15)
+def canonical_url(text: str) -> str:
+    """The key every repository and cache stores ``text`` under: the
+    string form of its normalized URL.  Memoized (a crawl or a diff
+    server canonicalizes the same URLs over and over), and a fixed
+    point: ``canonical_url(canonical_url(u)) == canonical_url(u)``."""
+    return str(parse_url(text).normalized())
 
 
 def _merge_paths(base: Url, path: str) -> str:

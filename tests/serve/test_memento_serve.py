@@ -143,6 +143,14 @@ class TestShardedMemento:
             fresh_map.body.count('rel="first memento"') + \
             fresh_map.body.count('rel="last memento"') > 0
 
+    def test_checkin_routes_once(self):
+        world = build_world(SEED, pages=4)
+        server = make_server(world)
+        url = world.urls[0]
+        server.checkin_content("curator0@example.com", url,
+                               "<HTML><BODY><P>fresh state.</P></BODY></HTML>")
+        assert sum(server.store.router.routed) == 1
+
     def test_pinned_memento_survives_checkin(self):
         world = build_world(SEED, pages=4)
         server = make_server(world)

@@ -19,6 +19,7 @@ from repro.serve import (
 )
 from repro.obs import Observability
 from repro.web.http import Request
+from repro.web.url import canonical_url
 
 SEED = 7
 
@@ -134,7 +135,7 @@ class TestFailover:
         mgr = server.replicator
         url = world.urls[0]
         a, b = mgr.replica_set(url)
-        key = server.store.router.canonical(url)
+        key = canonical_url(url)
         world.origin.set_page("/page000.html", "<HTML><BODY>new"
                                                "</BODY></HTML>")
         response = get(server, f"action=remember&url={url}"
@@ -152,7 +153,7 @@ class TestHintedHandoff:
         server, revisions = seeded(world)
         mgr = server.replicator
         url = world.urls[0]
-        key = server.store.router.canonical(url)
+        key = canonical_url(url)
         a, b = mgr.replica_set(url)
         now = world.clock.now
         crash_now(server, b, now, now + 5_000)
@@ -200,7 +201,7 @@ class TestReadRepair:
         server, revisions = seeded(world)
         mgr = server.replicator
         url = world.urls[0]
-        key = server.store.router.canonical(url)
+        key = canonical_url(url)
         a, b = mgr.replica_set(url)
         # Knock the secondary back to an empty store without marking it
         # dead — the "replica silently lost state" shape.
@@ -220,7 +221,7 @@ class TestReadRepair:
         server, revisions = seeded(world)
         mgr = server.replicator
         url = world.urls[0]
-        key = server.store.router.canonical(url)
+        key = canonical_url(url)
         a, b = mgr.replica_set(url)
         # Render a response while the replicas agree, then poison
         # replica b with divergent state and cache the response as if b
@@ -250,7 +251,7 @@ class TestScrub:
         server, revisions = seeded(world, scrub_interval=100)
         mgr = server.replicator
         url = world.urls[0]
-        key = server.store.router.canonical(url)
+        key = canonical_url(url)
         a, b = mgr.replica_set(url)
         # Diverge b: same revision count, different content.
         stale = server.store.shards[b]
@@ -328,7 +329,7 @@ class TestDiskRecovery:
             world, repository_dir=str(tmp_path), sync_interval=1)
         mgr = server.replicator
         url = world.urls[0]
-        key = server.store.router.canonical(url)
+        key = canonical_url(url)
         a, b = mgr.replica_set(url)
         now = world.clock.now
 
@@ -379,7 +380,7 @@ class TestChaosLoadEndToEnd:
         # Zero lost revisions: every acknowledged seed revision is on
         # every replica.
         for url, revs in revisions.items():
-            key = server.store.router.canonical(url)
+            key = canonical_url(url)
             for shard in mgr.replica_set(key):
                 archive = server.store.shards[shard].archives[key]
                 assert archive.revision_count >= len(revs)

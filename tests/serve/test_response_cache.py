@@ -2,7 +2,9 @@
 bytes cannot change are cacheable, date-views are volatile, and cached
 responses are never shared objects."""
 
+from repro.core.snapshot.store import SnapshotStore
 from repro.serve.cache import ResponseCache, cacheable_key
+from repro.simclock import SimClock
 from repro.web.http import make_response
 
 URL = "http://site.com/page.html"
@@ -84,6 +86,14 @@ class TestResponseCache:
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
         assert stats["size"] == 1
+
+    def test_stats_shape_matches_the_store_caches(self):
+        store = SnapshotStore(SimClock(), agent=None)
+        shape = set(ResponseCache().stats())
+        assert shape == {"size", "capacity", "hits", "misses", "evictions",
+                         "invalidations", "hit_rate"}
+        assert set(store.diff_cache.stats()) == shape
+        assert set(store.checkout_cache.stats()) == shape
 
 
 class TestRepairInvalidation:

@@ -1,24 +1,25 @@
-"""Tests for the shared HtmlDiff output cache."""
+"""Tests for the shared HtmlDiff output cache (an LruCache keyed by
+``diff_cache_key``)."""
 
 import pytest
 
 from repro.core.htmldiff.options import HtmlDiffOptions, PresentationMode
-from repro.core.snapshot.diffcache import DiffCache
-from repro.core.snapshot.store import SnapshotStore
+from repro.core.snapshot.store import SnapshotStore, diff_cache_key
+from repro.lru import LruCache
 from repro.simclock import DAY, HOUR, SimClock
 from repro.web.client import UserAgent
 from repro.web.network import Network
 
 
 def result_stub(tag):
-    """Cache values are opaque to DiffCache; any object will do."""
+    """Cache values are opaque to the cache; any object will do."""
     return tag
 
 
 class TestDiffCacheUnit:
     def test_miss_then_hit(self):
-        cache = DiffCache()
-        key = DiffCache.make_key("http://a/", "1.1", "1.2", None)
+        cache = LruCache(256)
+        key = diff_cache_key("http://a/", "1.1", "1.2", None)
         assert cache.get(key) is None
         cache.put(key, result_stub("r"))
         assert cache.get(key) == "r"
@@ -31,21 +32,21 @@ class TestDiffCacheUnit:
         reference = plain.reference()
         reversed_mode = HtmlDiffOptions(mode=PresentationMode.MERGED_REVERSED)
         keys = {
-            DiffCache.make_key("http://a/", "1.1", "1.2", options)
+            diff_cache_key("http://a/", "1.1", "1.2", options)
             for options in (None, plain, reference, reversed_mode)
         }
         assert len(keys) == 4
         # Equal configurations share a key across instances.
-        assert DiffCache.make_key("u", "1.1", "1.2", HtmlDiffOptions()) == \
-            DiffCache.make_key("u", "1.1", "1.2", HtmlDiffOptions())
+        assert diff_cache_key("u", "1.1", "1.2", HtmlDiffOptions()) == \
+            diff_cache_key("u", "1.1", "1.2", HtmlDiffOptions())
 
     def test_key_stringifies_revisions(self):
-        assert DiffCache.make_key("u", 1.1, "1.2", None) == \
-            DiffCache.make_key("u", "1.1", "1.2", None)
+        assert diff_cache_key("u", 1.1, "1.2", None) == \
+            diff_cache_key("u", "1.1", "1.2", None)
 
     def test_lru_eviction_order(self):
-        cache = DiffCache(capacity=2)
-        k = [DiffCache.make_key("u", "1.1", f"1.{i}", None) for i in range(4)]
+        cache = LruCache(capacity=2)
+        k = [diff_cache_key("u", "1.1", f"1.{i}", None) for i in range(4)]
         cache.put(k[0], "a")
         cache.put(k[1], "b")
         assert cache.get(k[0]) == "a"  # refresh k0
@@ -55,24 +56,24 @@ class TestDiffCacheUnit:
         assert cache.evictions == 1
 
     def test_zero_capacity_disables(self):
-        cache = DiffCache(capacity=0)
-        key = DiffCache.make_key("u", "1.1", "1.2", None)
+        cache = LruCache(capacity=0)
+        key = diff_cache_key("u", "1.1", "1.2", None)
         cache.put(key, "r")
         assert cache.get(key) is None
         assert len(cache) == 0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            DiffCache(capacity=-1)
+            LruCache(capacity=-1)
 
     def test_invalidate_url(self):
-        cache = DiffCache()
-        cache.put(DiffCache.make_key("u1", "1.1", "1.2", None), "a")
-        cache.put(DiffCache.make_key("u1", "1.2", "1.3", None), "b")
-        cache.put(DiffCache.make_key("u2", "1.1", "1.2", None), "c")
-        assert cache.invalidate_url("u1") == 2
+        cache = LruCache(256)
+        cache.put(diff_cache_key("u1", "1.1", "1.2", None), "a")
+        cache.put(diff_cache_key("u1", "1.2", "1.3", None), "b")
+        cache.put(diff_cache_key("u2", "1.1", "1.2", None), "c")
+        assert cache.invalidate(lambda key: key[0] == "u1") == 2
         assert len(cache) == 1
-        assert cache.get(DiffCache.make_key("u2", "1.1", "1.2", None)) == "c"
+        assert cache.get(diff_cache_key("u2", "1.1", "1.2", None)) == "c"
 
 
 @pytest.fixture

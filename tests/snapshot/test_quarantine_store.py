@@ -12,7 +12,7 @@ from repro.web.client import UserAgent
 from repro.web.guards import ContentGuard, GuardLimits
 from repro.web.http import Request
 from repro.web.network import Network
-from repro.web.url import parse_url
+from repro.web.url import canonical_url, parse_url
 
 BOMB_URL = "http://site.com/bomb"
 CLEAN_URL = "http://site.com/clean"
@@ -45,7 +45,7 @@ class TestStoreRefusal:
         assert excinfo.value.guard == "nesting-depth"
         # The archive was never created: no partial state.
         assert store.archives == {}
-        assert store.users.versions_seen("fred", store._canonical(BOMB_URL)) == []
+        assert store.users.versions_seen("fred", canonical_url(BOMB_URL)) == []
 
     def test_benign_remember_unaffected(self):
         _clock, _server, store = make_world()
@@ -78,7 +78,7 @@ class TestStoreRefusal:
         _clock, _server, store = make_world(journal=journal)
         with pytest.raises(ContentQuarantined):
             store.remember("fred", BOMB_URL)
-        entry = journal.get(store._canonical(BOMB_URL))
+        entry = journal.get(canonical_url(BOMB_URL))
         assert entry is not None
         assert entry.guard == "nesting-depth"
 

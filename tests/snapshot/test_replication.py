@@ -1,17 +1,13 @@
-"""Tests for admission control and service replication (§4.2)."""
+"""Tests for the simultaneous-user limit and replication across
+machines (§4.2), as the diff server provides them: one shard per
+machine, a per-machine worker limit with no queue, URL-hash routing."""
 
 import pytest
 
-from repro.core.snapshot.replication import (
-    AdmissionControl,
-    ReplicatedSnapshotService,
-)
-from repro.core.snapshot.service import SnapshotService
-from repro.core.snapshot.store import SnapshotStore
+from repro.serve import DiffServer
 from repro.simclock import DAY, SimClock
 from repro.web.client import UserAgent
 from repro.web.network import Network
-from repro.web.resilience import ResilientAgent, RetryPolicy
 
 
 @pytest.fixture
@@ -25,8 +21,14 @@ def world():
     return clock, network, origin, agent
 
 
-def make_service(clock, agent):
-    return SnapshotService(SnapshotStore(clock, agent))
+def make_server(clock, network, agent, machines=1, limit=10):
+    """``machines`` shards of ``limit`` workers each, no queue, mounted
+    where the CGI script would be."""
+    server = DiffServer(clock, agent, shards=machines,
+                        workers_per_shard=limit, queue_limit=0)
+    network.create_server("aide.att.com").register_cgi(
+        "/cgi-bin/snapshot", server)
+    return server
 
 
 def call(client, query):
@@ -36,9 +38,7 @@ def call(client, query):
 class TestAdmissionControl:
     def test_over_limit_gets_503(self, world):
         clock, network, origin, agent = world
-        limited = AdmissionControl(make_service(clock, agent), clock, limit=3)
-        aide = network.create_server("aide.att.com")
-        aide.register_cgi("/cgi-bin/snapshot", limited)
+        server = make_server(clock, network, agent, limit=3)
         client = UserAgent(network, clock)
         statuses = [
             call(client, f"action=remember&url=http://site.com/p{i}.html&user=u{i}").status
@@ -46,100 +46,55 @@ class TestAdmissionControl:
         ]
         assert statuses[:3] == [200, 200, 200]
         assert statuses[3:] == [503, 503]
-        assert limited.admitted == 3 and limited.rejected == 2
+        pool = server.pools[0]
+        assert pool.admitted == 3 and pool.rejected == 2
 
     def test_limit_resets_next_instant(self, world):
+        """The limit counts requests in flight: once the admitted one's
+        worker frees (after its simulated cost), admission resumes."""
         clock, network, origin, agent = world
-        limited = AdmissionControl(make_service(clock, agent), clock, limit=1)
-        aide = network.create_server("aide.att.com")
-        aide.register_cgi("/cgi-bin/snapshot", limited)
+        server = make_server(clock, network, agent, limit=1)
         client = UserAgent(network, clock)
         assert call(client, "action=remember&url=http://site.com/p0.html&user=a").status == 200
-        assert call(client, "action=remember&url=http://site.com/p1.html&user=a").status == 503
-        clock.advance(1)
+        rejected = call(client, "action=remember&url=http://site.com/p1.html&user=a")
+        assert rejected.status == 503
+        clock.advance(int(rejected.headers.get("Retry-After")))
         assert call(client, "action=remember&url=http://site.com/p1.html&user=a").status == 200
 
     def test_bad_limit(self, world):
         clock, network, origin, agent = world
         with pytest.raises(ValueError):
-            AdmissionControl(make_service(clock, agent), clock, limit=0)
+            DiffServer(clock, agent, shards=1, workers_per_shard=0)
         with pytest.raises(ValueError):
-            AdmissionControl(make_service(clock, agent), clock, limit=1,
-                             retry_after=0)
-
-    def test_503_carries_retry_after(self, world):
-        clock, network, origin, agent = world
-        limited = AdmissionControl(make_service(clock, agent), clock, limit=1)
-        aide = network.create_server("aide.att.com")
-        aide.register_cgi("/cgi-bin/snapshot", limited)
-        client = UserAgent(network, clock)
-        call(client, "action=remember&url=http://site.com/p0.html&user=a")
-        rejected = call(client,
-                        "action=remember&url=http://site.com/p1.html&user=a")
-        assert rejected.status == 503
-        # The window resets next instant, and the header says so.
-        assert rejected.headers.get("Retry-After") == "1"
-
-    def test_resilient_agent_honors_retry_after(self, world):
-        """End to end: a ResilientAgent that would otherwise retry with
-        zero backoff (base_delay=0, jitter=0) succeeds only because the
-        503's Retry-After tells it to wait out the admission window."""
-        clock, network, origin, agent = world
-        limited = AdmissionControl(make_service(clock, agent), clock, limit=1)
-        aide = network.create_server("aide.att.com")
-        aide.register_cgi("/cgi-bin/snapshot", limited)
-        resilient = ResilientAgent(
-            UserAgent(network, clock),
-            policy=RetryPolicy(base_delay=0, jitter=0),
-        )
-        # Exhaust this instant's admission window.
-        call(UserAgent(network, clock),
-             "action=remember&url=http://site.com/p0.html&user=a")
-        before = clock.now
-        result = resilient.get(
-            "http://aide.att.com/cgi-bin/snapshot?"
-            "action=remember&url=http://site.com/p1.html&user=a"
-        )
-        assert result.response.status == 200
-        # The only wait in the policy is the advertised Retry-After.
-        assert clock.now == before + 1
-        assert resilient.retries == 1
-        assert limited.rejected == 1 and limited.admitted == 2
+            DiffServer(clock, agent, shards=1, queue_limit=-1)
 
 
 class TestReplication:
     def test_routing_is_stable_and_partitioned(self, world):
         clock, network, origin, agent = world
-        replicas = [make_service(clock, agent) for _ in range(3)]
-        front = ReplicatedSnapshotService(replicas)
+        server = make_server(clock, network, agent, machines=3)
         for url in (f"http://site.com/p{i}.html" for i in range(12)):
-            assert front.replica_for(url) == front.replica_for(url)
-        indices = {front.replica_for(f"http://site.com/p{i}.html")
+            assert server.store.shard_for(url) == server.store.shard_for(url)
+        indices = {server.store.shard_for(f"http://site.com/p{i}.html")
                    for i in range(12)}
         assert len(indices) > 1  # load actually spreads
 
     def test_each_archive_lives_on_one_replica(self, world):
         clock, network, origin, agent = world
-        replicas = [make_service(clock, agent) for _ in range(3)]
-        front = ReplicatedSnapshotService(replicas)
-        aide = network.create_server("aide.att.com")
-        aide.register_cgi("/cgi-bin/snapshot", front)
+        server = make_server(clock, network, agent, machines=3)
         client = UserAgent(network, clock)
         for i in range(12):
             resp = call(client,
                         f"action=remember&url=http://site.com/p{i}.html&user=u")
             assert resp.status == 200
-        assert front.url_count == 12  # no page stored twice
-        per_replica = [r.store.url_count() for r in replicas]
-        assert sum(per_replica) == 12
-        assert max(per_replica) < 12  # and not all on one machine
+        assert server.store.url_count() == 12  # no page stored twice
+        per_machine = [shard.url_count() for shard in server.store.shards]
+        assert sum(per_machine) == 12
+        assert max(per_machine) < 12  # and not all on one machine
 
     def test_diff_reaches_the_right_replica(self, world):
         clock, network, origin, agent = world
-        replicas = [make_service(clock, agent) for _ in range(3)]
-        front = ReplicatedSnapshotService(replicas)
-        aide = network.create_server("aide.att.com")
-        aide.register_cgi("/cgi-bin/snapshot", front)
+        make_server(clock, network, agent, machines=3)
         client = UserAgent(network, clock)
         call(client, "action=remember&url=http://site.com/p0.html&user=fred")
         clock.advance(DAY)
@@ -148,6 +103,7 @@ class TestReplication:
         assert resp.status == 200
         assert "Internet Difference Engine" in resp.body
 
-    def test_no_replicas_rejected(self):
+    def test_no_replicas_rejected(self, world):
+        clock, network, origin, agent = world
         with pytest.raises(ValueError):
-            ReplicatedSnapshotService([])
+            DiffServer(clock, agent, shards=0)

@@ -1,5 +1,8 @@
 """Tests for CGI query-string handling and the stock scripts."""
 
+import random
+from urllib.parse import unquote_plus
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +69,25 @@ class TestParseQueryString:
             "action=diff&url=http%3A//site.com/page%3Fq%3D1"
         )
         assert params["url"] == "http://site.com/page?q=1"
+
+    def test_escape_needs_two_ascii_hex_digits(self):
+        # int(..., 16) accepts whitespace, signs and non-ASCII digits;
+        # an escape does not.  ("+" is a space before escapes decode.)
+        assert parse_query_string("a=% b") == {"a": "% b"}
+        assert parse_query_string("a=%+0") == {"a": "% 0"}
+        assert parse_query_string("a=%\u0663\u0663") == {"a": "%\u0663\u0663"}
+
+    def test_values_match_stdlib_unquote_plus(self):
+        """Seeded differential against the stdlib decoder with the same
+        error handler."""
+        rng = random.Random(1996)
+        alphabet = list("%%%++ 09afAFgz=\t") + ["\u0663", "\u00e9", "%C3",
+                                                 "%A9", "%C0", "%80", "%FF"]
+        for _ in range(20_000):
+            value = "".join(rng.choice(alphabet)
+                            for _ in range(rng.randint(0, 10)))
+            assert parse_query_string("v=" + value)["v"] == unquote_plus(
+                value, errors="aide-percent"), repr(value)
 
 
 class TestEncodeQueryString:

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.web.url import Url, join_url, parse_url
+from repro.web.url import Url, canonical_url, join_url, parse_url
 
 
 class TestParse:
@@ -57,6 +57,32 @@ class TestNormalize:
 
     def test_nondefault_port_kept(self):
         assert parse_url("http://h.com:600/").normalized().port == 600
+
+
+class TestCanonicalUrl:
+    def test_fixed_point_regressions(self):
+        # Whitespace before a dropped fragment.
+        assert canonical_url("http://h.com/a.html #top") == "http://h.com/a.html"
+        # A host-less http URL: the path must not be re-read as a host.
+        assert canonical_url("HTTP:80") == "http:///80"
+        # A host-less path starting with "//" keeps its empty authority.
+        assert canonical_url("////Z") == "////Z"
+        # So does a port without a host, or the path's space is stripped.
+        assert canonical_url("//:8080 a") == "//:8080 a"
+        # A newline in a fragment parses (the pattern cannot fail).
+        assert canonical_url("http://h.com/a#x\ny") == "http://h.com/a"
+
+    @given(st.one_of(
+        st.text(max_size=30),
+        st.lists(st.sampled_from(["http", "HTTP", "ftp", "file", "x", ":",
+                                  "//", "/", "?", "#", " ", "\t", "80",
+                                  "h.COM", "@", "a b"]),
+                 max_size=12).map("".join),
+    ))
+    @settings(max_examples=500)
+    def test_idempotent(self, text):
+        once = canonical_url(text)
+        assert canonical_url(once) == once
 
 
 class TestJoin:
