@@ -13,7 +13,7 @@ archives — so the CLI provides both:
     aide rlog page.html                        # revision history
     aide rcsdiff page.html -r 1.1 -r 1.3       # diff two revisions
     aide fsck /var/aide/repo --repair          # repository consistency
-    aide quarantine list dead.jsonl            # poison-document journal
+    aide quarantine list dead.log              # poison-document journal
     aide serve --shards 4 --users 1000         # sharded diff server demo
 
 ``aide htmldiff``/``rcsdiff`` exit 0 when identical and 1 when
@@ -938,11 +938,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     qsub = quarantine.add_subparsers(dest="quarantine_cmd", required=True)
     qlist = qsub.add_parser("list", help="show quarantined URLs")
-    qlist.add_argument("journal", help="path to the quarantine JSONL file")
+    qlist.add_argument("journal", help="path to the quarantine journal file")
     qretry = qsub.add_parser(
         "retry", help="re-validate stored bytes and release survivors"
     )
-    qretry.add_argument("journal", help="path to the quarantine JSONL file")
+    qretry.add_argument("journal", help="path to the quarantine journal file")
     qretry.add_argument("--url", help="retry only this URL")
     qretry.add_argument("--max-body-bytes", type=int, dest="max_body_bytes",
                         help="loosen the body-size cap before retrying")
@@ -953,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="loosen the token-count cap before retrying")
     qretry.set_defaults(func=_cmd_quarantine)
     qpurge = qsub.add_parser("purge", help="drop journal entries")
-    qpurge.add_argument("journal", help="path to the quarantine JSONL file")
+    qpurge.add_argument("journal", help="path to the quarantine journal file")
     qpurge.add_argument("--url", help="purge only this URL (default: all)")
     qpurge.set_defaults(func=_cmd_quarantine)
     qlist.set_defaults(func=_cmd_quarantine)

@@ -9,19 +9,21 @@ show what tripped, ``aide quarantine retry`` can re-validate the
 stored bytes against (possibly loosened) limits and release the
 survivors, and ``aide quarantine purge`` can drop entries for good.
 
-Persistence is an append-only JSONL file: :meth:`record` appends one
-line per trip (cheap, crash-friendly — a torn tail line is skipped on
-load), while ``retry``/``purge`` compact the file.  Everything is
-deterministic: timestamps come from the caller's sim clock, entries
-list in sorted-URL order.
+Persistence is a framed log (:mod:`repro.framedlog`, one JSON object
+per frame): :meth:`record` appends one fsynced frame per trip, load
+follows every AIDE log's recovery rule, and ``retry``/``purge`` compact
+the file atomically.  Everything is deterministic: timestamps come from
+the caller's sim clock, entries list in sorted-URL order.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from .. import framedlog
+from ..framedlog import JournalError
 
 __all__ = ["QuarantineEntry", "QuarantineJournal"]
 
@@ -55,8 +57,8 @@ class QuarantineEntry:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "QuarantineEntry":
-        data = json.loads(line)
+    def from_json(cls, text: "str | bytes") -> "QuarantineEntry":
+        data = json.loads(text)
         return cls(
             url=data["url"],
             guard=data.get("guard", "content"),
@@ -68,44 +70,40 @@ class QuarantineEntry:
         )
 
 
+def _payload(entry: QuarantineEntry) -> bytes:
+    return (entry.to_json() + "\n").encode("utf-8")
+
+
 class QuarantineJournal:
-    """URL-keyed dead letters, optionally persisted as JSONL."""
+    """URL-keyed dead letters, optionally persisted as a framed log."""
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
         self._entries: Dict[str, QuarantineEntry] = {}
-        if path is not None and os.path.exists(path):
+        if path is not None:
             self._load(path)
 
     # ------------------------------------------------------------------
     def _load(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = QuarantineEntry.from_json(line)
-                except (ValueError, KeyError):
-                    # A torn tail from a crash mid-append; later lines
-                    # for the same URL supersede earlier ones anyway.
-                    continue
-                self._entries[entry.url] = entry
+        if framedlog.read(path)[:1] == b"{":
+            raise JournalError(
+                f"{path}: a JSON-lines quarantine file from before the "
+                f"framed format; convert or remove it"
+            )
+        scan = framedlog.recover(path, QuarantineEntry.from_json)
+        for entry in scan.entries:
+            self._entries[entry.url] = entry
 
     def _append(self, entry: QuarantineEntry) -> None:
-        if self.path is None:
-            return
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(entry.to_json() + "\n")
+        if self.path is not None:
+            framedlog.append(self.path, [_payload(entry)])
 
     def _rewrite(self) -> None:
-        if self.path is None:
-            return
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for url in sorted(self._entries):
-                fh.write(self._entries[url].to_json() + "\n")
-        os.replace(tmp, self.path)
+        if self.path is not None:
+            framedlog.replace(self.path, b"".join(
+                framedlog.frame(_payload(self._entries[url]))
+                for url in sorted(self._entries)
+            ))
 
     # ------------------------------------------------------------------
     def record(

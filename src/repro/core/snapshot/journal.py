@@ -8,11 +8,12 @@ self-contained record, and a loader replays the records (in order,
 through the ordinary ``checkin`` path, which is deterministic) on top
 of the last compacted ``,v`` base to rebuild a byte-identical store.
 
-Record shape: each record is wrapped in a length+checksum **frame** so
-a reader can tell a record that was *committed* from one that was torn
+Record shape: each record is one payload of the shared durable framed
+log (:mod:`repro.framedlog`), whose length+checksum **frame** lets a
+reader tell a record that was *committed* from one that was torn
 mid-write by a crash::
 
-    frame <payload-bytes> <crc32-hex>\\n
+    frame <payload-bytes> <checksum>\\n
     rev\t<quoted url>\t<revision>\t<date>\t<quoted author>[\ttxn=<id>]
     <quoted log>
     <quoted text>
@@ -47,33 +48,26 @@ read exactly as before.
 
 Reading comes in two flavors.  :func:`read_journal` is strict: any
 damage raises :class:`JournalError`.  :func:`scan_journal` never raises
-on content: it walks the file byte-by-byte, keeps every record whose
-frame checks out, and reports where (and how) the stream stops making
-sense — including whether valid frames exist *beyond* the damage (a
-mid-file corruption, which truncation would lose data to) or not (a
-torn tail, safely recoverable by truncating).  Journals written before
-framing existed (bare ``rev`` records) are still readable; both readers
-dispatch per record, so mixed files work too.
+on content: it is :func:`repro.framedlog.scan` with this module's
+record parser, after decoding the bare ``rev`` records that journals
+written before framing start with.
 """
 
 from __future__ import annotations
 
 import os
-import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
+
+from ... import framedlog
+from ...framedlog import JournalError
 
 __all__ = ["JournalRecord", "JournalError", "JournalScan", "TxnIntent",
            "SeenRecord", "TxnCommit", "TxnAbort", "ResolvedJournal",
-           "FrameScan", "frame_payload", "scan_frames",
            "append_records", "append_entries", "resolve_entries",
            "read_journal", "scan_journal", "clear_journal", "JOURNAL_NAME"]
 
 JOURNAL_NAME = "journal.log"
-
-
-class JournalError(ValueError):
-    """The journal text is not a valid record stream."""
 
 
 @dataclass(frozen=True)
@@ -132,35 +126,13 @@ class TxnAbort:
     txn: str
 
 
-@dataclass
-class JournalScan:
-    """What a tolerant read of the journal found.
-
-    ``entries`` holds every record up to the first damage (all of them
-    when ``damage`` is empty) — revision records, transaction intents,
-    seen stamps, and commit/abort markers alike; ``records`` filters
-    the revision records for callers that only replay check-ins.
-    ``valid_bytes`` is the byte offset of the end of the last intact
-    record — truncating the file there drops exactly the damaged
-    suffix.  ``recoverable`` is False when intact frames exist *after*
-    the damage: that is mid-file corruption, and truncating would
-    silently discard committed revisions.
-    """
-
-    entries: List[object] = field(default_factory=list)
-    total_bytes: int = 0
-    valid_bytes: int = 0
-    damage: str = ""
-    damage_offset: Optional[int] = None
-    recoverable: bool = True
+class JournalScan(framedlog.LogScan):
+    """A :class:`repro.framedlog.LogScan` of the journal: ``entries``
+    holds records of every type, ``records`` only the revisions."""
 
     @property
     def records(self) -> List[JournalRecord]:
         return [e for e in self.entries if isinstance(e, JournalRecord)]
-
-    @property
-    def clean(self) -> bool:
-        return not self.damage
 
 
 def _quote(text: str) -> str:
@@ -199,41 +171,14 @@ def _serialize_entry(entry: object) -> str:
     raise TypeError(f"unknown journal entry type {type(entry).__name__}")
 
 
-def frame_payload(payload: bytes) -> bytes:
-    """Wrap arbitrary payload bytes in the journal's length+CRC frame.
-
-    This is the same wire format every journal record uses, exposed so
-    sibling logs (the replication layer's hinted-handoff journals) get
-    the identical committed-vs-torn distinction without reinventing the
-    framing — and stay ``cat``-browsable next to ``journal.log``.
-    """
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return b"frame %d %08x\n" % (len(payload), crc) + payload
-
-
-def _frame(entry: object) -> bytes:
-    return frame_payload(_serialize_entry(entry).encode("utf-8"))
-
-
 def append_entries(directory: str, entries: Iterable[object]) -> int:
     """Append framed entries (any record type) to ``directory``'s
-    journal; returns how many.  The write is flushed and fsynced — an
-    entry is either fully on disk or detectably torn, never silently
-    half-applied."""
-    path = os.path.join(directory, JOURNAL_NAME)
-    count = 0
-    chunks: List[bytes] = []
-    for entry in entries:
-        chunks.append(_frame(entry))
-        count += 1
-    if not chunks:
-        return 0
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "ab") as handle:
-        handle.write(b"".join(chunks))
-        handle.flush()
-        os.fsync(handle.fileno())
-    return count
+    journal with one fsync (:func:`repro.framedlog.append`); returns
+    how many."""
+    return framedlog.append(
+        os.path.join(directory, JOURNAL_NAME),
+        [_serialize_entry(entry).encode("utf-8") for entry in entries],
+    )
 
 
 def append_records(directory: str, records: Iterable[JournalRecord]) -> int:
@@ -379,160 +324,38 @@ def _read_entry(scanner: _Scanner) -> object:
     raise JournalError(f"unrecognized record keyword at offset {pos}")
 
 
-_ParseResult = Tuple[bool, int, Optional[object], str]
-
-
-def _parse_raw_frame(data: bytes, pos: int) -> Tuple[bool, int,
-                                                     Optional[bytes], str]:
-    """(ok, end-offset, payload, why-not) for a frame starting at pos,
-    validating the length+CRC envelope only — no record parsing."""
-    newline = data.find(b"\n", pos)
-    if newline == -1:
-        return False, pos, None, "torn frame header (no terminating newline)"
-    parts = data[pos:newline].split()
-    if len(parts) != 3:
-        return False, pos, None, f"malformed frame header {data[pos:newline]!r}"
-    try:
-        nbytes = int(parts[1])
-    except ValueError:
-        nbytes = -1
-    if nbytes < 0:
-        return False, pos, None, f"malformed frame length {parts[1]!r}"
-    payload = data[newline + 1:newline + 1 + nbytes]
-    if len(payload) < nbytes:
-        return False, pos, None, (
-            f"torn frame payload ({len(payload)} of {nbytes} bytes present)"
-        )
-    crc = b"%08x" % (zlib.crc32(payload) & 0xFFFFFFFF)
-    if crc != parts[2].lower():
-        return False, pos, None, (
-            f"frame checksum mismatch (recorded {parts[2].decode('ascii', 'replace')}, "
-            f"computed {crc.decode('ascii')})"
-        )
-    return True, newline + 1 + nbytes, payload, ""
-
-
-def _parse_frame(data: bytes, pos: int) -> _ParseResult:
-    """(ok, end-offset, record, why-not) for a frame starting at pos."""
-    ok, end, payload, why = _parse_raw_frame(data, pos)
-    if not ok:
-        return False, pos, None, why
+def _parse_payload(payload: bytes) -> object:
+    """One framed record of any type (raises JournalError)."""
     # The checksum vouches for the bytes; decode defensively anyway.
     scanner = _Scanner(payload.decode("utf-8", errors="replace"))
-    try:
-        record = _read_entry(scanner)
-    except JournalError as exc:
-        return False, pos, None, f"framed record does not parse: {exc}"
+    entry = _read_entry(scanner)
     if not scanner.at_end():
-        return False, pos, None, "trailing bytes inside frame"
-    return True, end, record, ""
+        raise JournalError("trailing bytes inside frame")
+    return entry
 
 
-@dataclass
-class FrameScan:
-    """What a tolerant scan of a generic framed stream found: every
-    intact payload up to the first damage, the byte offset a truncation
-    should cut at, and why the stream stopped parsing (empty when it
-    didn't)."""
-
-    payloads: List[bytes] = field(default_factory=list)
-    total_bytes: int = 0
-    valid_bytes: int = 0
-    damage: str = ""
-
-    @property
-    def clean(self) -> bool:
-        return not self.damage
-
-
-def scan_frames(data: bytes) -> FrameScan:
-    """Tolerant scan of a stream of :func:`frame_payload` frames.
-
-    The generic sibling of :func:`scan_journal` for logs that carry
-    their own payload format (hinted-handoff journals): frames are
-    validated envelope-only, damage is reported instead of raised, and
-    ``valid_bytes`` marks the safe truncation point for a torn tail.
-    """
-    scan = FrameScan(total_bytes=len(data))
-    pos = 0
-    while True:
-        while pos < len(data) and data[pos] in _WHITESPACE:
-            pos += 1
-        if pos >= len(data):
-            scan.valid_bytes = len(data)
-            return scan
-        ok, end, payload, why = _parse_raw_frame(data, pos)
-        if not ok:
-            scan.valid_bytes = pos
-            scan.damage = f"{why} (at byte {pos})"
-            return scan
-        scan.payloads.append(payload)
-        pos = end
-
-
-def _parse_legacy(data: bytes, pos: int) -> _ParseResult:
-    """One pre-framing bare ``rev`` record starting at byte pos.
-
-    Decodes strictly up to the first invalid byte (if any), so the
-    consumed-byte arithmetic below stays exact; a record that needs
-    bytes past an encoding error simply fails to parse there.
-    """
-    tail = data[pos:]
+def _legacy_prefix(data: bytes) -> Tuple[List[JournalRecord], int]:
+    """The pre-framing bare ``rev`` records at the head of ``data`` (only
+    ever a prefix: every writer since framing appends frames), and the
+    byte offset just past them.  Decodes strictly up to the first
+    invalid byte, so the offset arithmetic stays exact."""
+    if data.lstrip(b" \t\r\n")[:3] != b"rev":
+        return [], 0
     try:
-        text = tail.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        text = tail[:exc.start].decode("utf-8")
+        text = data[:exc.start].decode("utf-8")
     scanner = _Scanner(text)
-    try:
-        record = _read_one(scanner)
-    except JournalError as exc:
-        return False, pos, None, f"unframed record does not parse: {exc}"
-    consumed = len(text[:scanner.pos].encode("utf-8"))
-    return True, pos + consumed, record, ""
-
-
-def _valid_frame_after(data: bytes, pos: int) -> bool:
-    """Is there any intact frame at a line start beyond ``pos``?"""
-    search = pos
+    records: List[JournalRecord] = []
+    end = 0
     while True:
-        candidate = data.find(b"\nframe ", search)
-        if candidate == -1:
-            return False
-        ok, _end, _record, _why = _parse_frame(data, candidate + 1)
-        if ok:
-            return True
-        search = candidate + 1
-
-
-_WHITESPACE = b" \t\r\n"
-
-
-def _scan_bytes(data: bytes) -> JournalScan:
-    scan = JournalScan(total_bytes=len(data))
-    pos = 0
-    while True:
-        while pos < len(data) and data[pos] in _WHITESPACE:
-            pos += 1
-        if pos >= len(data):
-            scan.valid_bytes = len(data)
-            return scan
-        if data.startswith(b"frame ", pos):
-            ok, end, record, why = _parse_frame(data, pos)
-        elif data.startswith(b"rev", pos):
-            ok, end, record, why = _parse_legacy(data, pos)
-        else:
-            ok, end, record, why = (
-                False, pos, None,
-                f"unrecognized record start {data[pos:pos + 8]!r}",
-            )
-        if not ok:
-            scan.valid_bytes = pos
-            scan.damage = f"{why} (at byte {pos})"
-            scan.damage_offset = pos
-            scan.recoverable = not _valid_frame_after(data, pos)
-            return scan
-        scan.entries.append(record)
-        pos = end
+        scanner.skip(" \t\r\n")
+        try:
+            records.append(_read_one(scanner))
+        except JournalError:
+            break
+        end = scanner.pos
+    return records, len(text[:end].encode("utf-8"))
 
 
 def scan_journal(directory: str) -> JournalScan:
@@ -542,12 +365,11 @@ def scan_journal(directory: str) -> JournalScan:
     positional detail for the caller to truncate (torn tail) or refuse
     to (mid-file corruption with committed records beyond it).
     """
-    path = os.path.join(directory, JOURNAL_NAME)
-    if not os.path.exists(path):
-        return JournalScan()
-    with open(path, "rb") as handle:
-        data = handle.read()
-    return _scan_bytes(data)
+    data = framedlog.read(os.path.join(directory, JOURNAL_NAME))
+    legacy, start = _legacy_prefix(data)
+    scan = JournalScan(**vars(framedlog.scan(data, _parse_payload, start)))
+    scan.entries[:0] = legacy
+    return scan
 
 
 def read_journal(directory: str) -> List[JournalRecord]:

@@ -39,6 +39,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ...framedlog import truncate_tail
 from ...rcs.archive import RcsArchive
 from ...rcs.rcsfile import parse_rcsfile, serialize_rcsfile
 from ...simclock import SimClock
@@ -230,20 +231,15 @@ def load_store(store: SnapshotStore, directory: str) -> int:
             store.archives[url] = archive
             loaded += 1
     scan = scan_journal(directory)
+    truncate_tail(os.path.join(directory, JOURNAL_NAME), scan)
     if scan.damage:
-        if not scan.recoverable:
-            raise JournalError(
-                f"journal corrupted mid-file with intact records beyond "
-                f"the damage — refusing to truncate: {scan.damage}"
-            )
         warnings.warn(
-            f"journal tail torn ({scan.damage}); truncating to last "
+            f"journal tail torn ({scan.damage}); truncated to last "
             f"intact record — {len(scan.records)} record(s) kept, "
             f"{scan.total_bytes - scan.valid_bytes} byte(s) dropped",
             JournalRecoveryWarning,
             stacklevel=2,
         )
-        _truncate_journal(directory, scan.valid_bytes)
     resolved = resolve_entries(scan.entries)
     for txn in resolved.interrupted:
         warnings.warn(
@@ -354,17 +350,6 @@ def _reconcile_cache(
         if page_cache is not None:
             page_cache[url] = head
     return fixed
-
-
-def _truncate_journal(directory: str, valid_bytes: int) -> None:
-    path = os.path.join(directory, JOURNAL_NAME)
-    if valid_bytes <= 0:
-        clear_journal(directory)
-        return
-    with open(path, "r+b") as handle:
-        handle.truncate(valid_bytes)
-        handle.flush()
-        os.fsync(handle.fileno())
 
 
 @dataclass

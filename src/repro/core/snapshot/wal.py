@@ -39,8 +39,8 @@ from __future__ import annotations
 import os
 from typing import Callable, List, Optional, TYPE_CHECKING
 
+from ...framedlog import replace
 from .journal import (
-    JOURNAL_NAME,
     JournalRecord,
     SeenRecord,
     TxnAbort,
@@ -137,12 +137,7 @@ class Transaction:
         if os.path.exists(path):
             with open(path, "r", encoding="utf-8") as handle:
                 prior = handle.read()
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(body)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        replace(path, body.encode("utf-8"))
         memory_prior = self.wal.store.page_cache.get(url)
         self.wal.store.page_cache[url] = body
 
@@ -233,9 +228,6 @@ class WriteAheadLog:
         self.aborted = 0
 
     def _scan_next_id(self) -> int:
-        path = os.path.join(self.directory, JOURNAL_NAME)
-        if not os.path.exists(path):
-            return 1
         highest = 0
         for entry in scan_journal(self.directory).entries:
             txn = getattr(entry, "txn", "")

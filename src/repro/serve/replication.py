@@ -45,7 +45,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.snapshot.journal import JOURNAL_NAME, frame_payload, scan_frames
+from .. import framedlog
+from ..core.snapshot.journal import JOURNAL_NAME
 from ..core.snapshot.persistence import JournalRecoveryWarning, load_store
 from ..core.snapshot.sharding import ShardedSnapshotStore, shard_dirname
 from ..core.snapshot.store import SnapshotStore
@@ -154,6 +155,10 @@ class ShardFaultPlan:
 # Hinted handoff
 # ----------------------------------------------------------------------
 
+def _handoff_fields(payload: bytes) -> List[str]:
+    return payload.decode("utf-8").rstrip("\n").split("\t")
+
+
 class HandoffJournal:
     """Per-replica queues of "this URL changed while you were down".
 
@@ -161,10 +166,10 @@ class HandoffJournal:
     the URL from a live peer, which is idempotent and order-free, so a
     hint queued twice or replayed after a scrub already fixed the URL
     is harmless.  With a ``directory`` the queue is also persisted as a
-    framed append-only log (``handoff.log``) using the *store
-    journal's* frame format — ``queue`` and ``drain`` events append
-    records, and :meth:`load` folds them back into pending queues,
-    tolerating a torn tail exactly like journal recovery does.
+    durable framed log (``handoff.log``, :mod:`repro.framedlog`, the
+    store journal's format) — ``queue`` and ``drain`` events append
+    records, and :meth:`load` folds them back into pending queues under
+    the same recovery rule as the store journal.
     """
 
     def __init__(self, directory: Optional[str] = None) -> None:
@@ -184,31 +189,23 @@ class HandoffJournal:
 
     def _append(self, line: str) -> None:
         path = self._path()
-        if path is None:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        with open(path, "ab") as handle:
-            handle.write(frame_payload(line.encode("utf-8")))
-            handle.flush()
-            os.fsync(handle.fileno())
+        if path is not None:
+            framedlog.append(path, [line.encode("utf-8")])
 
     def load(self) -> None:
         """Rebuild pending queues from the on-disk log.  A torn tail is
         truncated away (the lost suffix is at most one hint, whose URL
-        the recovery scrub re-converges anyway)."""
+        the recovery scrub re-converges anyway); damage with intact
+        hints beyond it raises :class:`~repro.framedlog.JournalError`
+        and leaves the file untouched."""
         path = self._path()
-        if path is None or not os.path.exists(path):
+        if path is None:
             return
-        with open(path, "rb") as handle:
-            data = handle.read()
-        scan = scan_frames(data)
+        scan = framedlog.recover(path, _handoff_fields)
         if scan.damage:
-            with open(path, "wb") as handle:
-                handle.write(data[:scan.valid_bytes])
             self.torn_tail_truncations += 1
         pending: Dict[int, List[str]] = {}
-        for payload in scan.payloads:
-            fields = payload.decode("utf-8").rstrip("\n").split("\t")
+        for fields in scan.entries:
             if fields[0] == "hint" and len(fields) == 3:
                 target = int(fields[1])
                 urls = pending.setdefault(target, [])

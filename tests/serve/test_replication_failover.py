@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.snapshot.journal import JOURNAL_NAME
+from repro.core.snapshot.journal import JOURNAL_NAME, JournalError
 from repro.serve import (
     ClosedLoopLoad,
     DiffServer,
@@ -193,6 +193,20 @@ class TestHintedHandoff:
         path.write_bytes(data[:-9])
         torn = HandoffJournal(str(tmp_path))
         assert torn.torn_tail_truncations == 1
+
+    def test_handoff_journal_mid_file_damage_raises(self, tmp_path):
+        journal = HandoffJournal(str(tmp_path))
+        for n in range(5):
+            journal.queue(1, f"http://a.example.com/{n}.html")
+        path = tmp_path / "handoff.log"
+        data = bytearray(path.read_bytes())
+        # One flipped byte inside the first frame; four intact hints
+        # follow it, so truncating there would drop them all.
+        data[data.index(b"hint")] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(JournalError):
+            HandoffJournal(str(tmp_path))
+        assert path.read_bytes() == bytes(data)
 
 
 class TestReadRepair:

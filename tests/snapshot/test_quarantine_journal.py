@@ -1,6 +1,11 @@
 """Tests for the poison-document dead-letter journal."""
 
+import os
+
+import pytest
+
 from repro.core.quarantine import QuarantineEntry, QuarantineJournal
+from repro.core.snapshot.journal import JournalError
 from repro.web.guards import GuardLimits
 
 
@@ -60,6 +65,54 @@ class TestPersistence:
         assert journal.purge("http://h/x") == 1
         assert len(QuarantineJournal(path)) == 1
         assert journal.purge() == 1
+        assert len(QuarantineJournal(path)) == 0
+
+    def test_mid_file_damage_raises_untouched(self, tmp_path):
+        path = str(tmp_path / "q.log")
+        journal = QuarantineJournal(path)
+        for host in ("a", "b", "c"):
+            journal.record(f"http://{host}/x", "charset", "d", "body")
+        data = bytearray(open(path, "rb").read())
+        # A byte inside the middle record: the record after it is
+        # intact, so dropping the damage would lose it too.
+        data[data.index(b"http://b/x")] ^= 0xFF
+        with open(path, "wb") as fh:
+            fh.write(bytes(data))
+        with pytest.raises(JournalError):
+            QuarantineJournal(path)
+        assert open(path, "rb").read() == bytes(data)
+
+    def test_json_lines_file_raises_untouched(self, tmp_path):
+        path = str(tmp_path / "q.jsonl")
+        old_format = (QuarantineEntry(url="http://h/x", guard="charset",
+                                      detail="d", body="b").to_json()
+                      + "\n").encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(old_format)
+        with pytest.raises(JournalError, match="framed format"):
+            QuarantineJournal(path)
+        assert open(path, "rb").read() == old_format
+
+    def test_record_and_purge_are_durable(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", src, dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = str(tmp_path / "q.log")
+        journal = QuarantineJournal(path)
+        journal.record("http://h/x", "charset", "d", "b")
+        assert calls == ["fsync"]
+        journal.purge("http://h/x")
+        assert calls == ["fsync", "fsync", ("replace", path + ".tmp", path)]
         assert len(QuarantineJournal(path)) == 0
 
 

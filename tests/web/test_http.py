@@ -155,3 +155,52 @@ class TestHttpDates:
 
         assert STATUS_REASONS[302] == "Moved Temporarily"
         assert STATUS_REASONS[406] == "Not Acceptable"
+
+
+class TestHttpDateOracle:
+    """``parse_http_date`` agrees with the stdlib's RFC 5322 date parser
+    on all three HTTP date forms of seeded random instants."""
+
+    WEEKDAYS = ["Monday", "Tuesday", "Wednesday", "Thursday", "Friday",
+                "Saturday", "Sunday"]
+    MONTHS = ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug",
+              "Sep", "Oct", "Nov", "Dec"]
+
+    def forms(self, moment):
+        day = self.WEEKDAYS[moment.weekday()]
+        month = self.MONTHS[moment.month - 1]
+        clock = moment.strftime("%H:%M:%S")
+        return [
+            f"{day[:3]}, {moment.day:02d} {month} {moment.year} {clock} GMT",
+            f"{day}, {moment.day:02d}-{month}-{moment.year % 100:02d} "
+            f"{clock} GMT",
+            f"{day[:3]} {month} {moment.day:2d} {clock} {moment.year}",
+        ]
+
+    def test_agrees_with_email_utils(self):
+        import random
+        from datetime import datetime, timezone
+        from email.utils import parsedate_to_datetime
+
+        from repro.web.http import parse_http_date
+
+        epoch = datetime(1995, 9, 1, tzinfo=timezone.utc)
+        low = int(datetime(1995, 1, 1, tzinfo=timezone.utc).timestamp())
+        high = int(datetime(2036, 1, 1, tzinfo=timezone.utc).timestamp())
+        rng = random.Random(1996)
+        mismatches = []
+        checked = 0
+        for _ in range(20_000):
+            moment = datetime.fromtimestamp(rng.randrange(low, high),
+                                            timezone.utc)
+            for text in self.forms(moment):
+                parsed = parsedate_to_datetime(text)
+                if parsed.tzinfo is None:  # asctime carries no zone
+                    parsed = parsed.replace(tzinfo=timezone.utc)
+                seconds = int((parsed - epoch).total_seconds())
+                expected = seconds if seconds >= 0 else None
+                if parse_http_date(text) != expected:
+                    mismatches.append(text)
+                checked += 1
+        assert checked == 60_000
+        assert mismatches == []
