@@ -5,6 +5,13 @@ exact fast lane/interning + bag-of-items bound) against the reference
 path (all three off) on small/medium/large synthetic page pairs, and
 verifies the two render byte-identical pages while timing them.
 
+It also times the cold path on large pages: pairs per second over 40
+seeded 120-paragraph ``MutationMix.typical`` pairs, one fresh
+``html_diff`` each (no shared matcher memo), and the share of that
+pipeline's wall time spent in each phase — tokenize
+(``tokenize_document``), classify (``classify_documents``) and render
+(``MergedPageRenderer.render_merged``).
+
 Beyond the human-readable rows, the numbers land in
 ``benchmarks/results/BENCH_htmldiff.json`` so CI can archive them.
 """
@@ -14,6 +21,9 @@ import os
 import time
 
 from repro.core.htmldiff.api import html_diff
+from repro.core.htmldiff.classify import classify_documents
+from repro.core.htmldiff.markup import MergedPageRenderer
+from repro.core.htmldiff.matcher import TokenMatcher
 from repro.core.htmldiff.options import HtmlDiffOptions
 from repro.core.htmldiff.tokenizer import tokenize_document
 from repro.workloads.mutate import MutationMix
@@ -49,6 +59,54 @@ def timed(old, new, options, reps):
     return best, html
 
 
+#: The cold large-pair workload: this many fresh pairs of this size.
+COLD_PAIRS = 40
+COLD_PARAGRAPHS = 120
+
+
+def cold_pairs():
+    """Seeded large pairs, one ``MutationMix.typical`` edit each."""
+    pairs = []
+    for seed in range(COLD_PAIRS):
+        old = PageGenerator(seed=seed).page(paragraphs=COLD_PARAGRAPHS,
+                                            links=15)
+        pairs.append((old, MutationMix.typical(seed=seed).apply(old)))
+    return pairs
+
+
+def cold_pairs_per_second(pairs):
+    start = time.perf_counter()
+    for old, new in pairs:
+        html_diff(old, new)
+    return len(pairs) / (time.perf_counter() - start)
+
+
+def phase_shares(pairs):
+    """Share of the cold pipeline's wall time in each phase.  The
+    pipeline makes ``html_diff``'s tokenize, classify and merged-render
+    calls for every pair (the density fallback never skips the render);
+    the shares are of the whole loop's wall time, so their sum shows
+    how much of it the three phases account for."""
+    options = HtmlDiffOptions()
+    spent = {"tokenize": 0.0, "classify": 0.0, "render": 0.0}
+    start = time.perf_counter()
+    for old, new in pairs:
+        t0 = time.perf_counter()
+        old_tokens = tokenize_document(old)
+        new_tokens = tokenize_document(new)
+        t1 = time.perf_counter()
+        diff = classify_documents(old_tokens, new_tokens,
+                                  matcher=TokenMatcher(options))
+        t2 = time.perf_counter()
+        MergedPageRenderer(options).render_merged(diff)
+        t3 = time.perf_counter()
+        spent["tokenize"] += t1 - t0
+        spent["classify"] += t2 - t1
+        spent["render"] += t3 - t2
+    total = time.perf_counter() - start
+    return {phase: round(seconds / total, 4) for phase, seconds in spent.items()}
+
+
 def test_fastpath_speedup(benchmark, sink):
     fast = HtmlDiffOptions()
     reference = fast.reference()
@@ -78,6 +136,22 @@ def test_fastpath_speedup(benchmark, sink):
         sink.row(f"{label:>6s} {tokens:7d} {ref_s * 1e3:8.1f} "
                  f"{fast_s * 1e3:8.1f} {tokens_per_sec:11.0f} "
                  f"{speedup:7.1f}x")
+
+    pairs = cold_pairs()
+    rate = cold_pairs_per_second(pairs)
+    shares = phase_shares(pairs)
+    report["cold_large"] = {
+        "pairs": len(pairs),
+        "paragraphs": COLD_PARAGRAPHS,
+        "pairs_per_second": round(rate, 2),
+        "phase_share": shares,
+    }
+    sink.row()
+    sink.row(f"cold: {len(pairs)} fresh {COLD_PARAGRAPHS}-paragraph pairs, "
+             f"{rate:.1f} pairs/s; phase share " + ", ".join(
+                 f"{phase} {share:.0%}" for phase, share in shares.items()))
+    # The three phases are the whole pipeline, up to timer overhead.
+    assert abs(sum(shares.values()) - 1.0) <= 0.02, shares
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "BENCH_htmldiff.json"), "w") as fh:

@@ -14,7 +14,7 @@ from .markup import MergedPageRenderer, render_sentence_source
 from .matcher import TokenMatcher, match_tokens
 from .options import HtmlDiffOptions, PresentationMode
 from .tokenizer import tokenize_document, tokens_from_nodes
-from .tokens import BreakToken, InlineMarkup, SentenceToken, Token, Word
+from .tokens import BreakToken, InlineMarkup, SentenceToken, Token
 from .webaware import (
     EntityChange,
     EntityChecksumStore,
@@ -41,7 +41,6 @@ __all__ = [
     "InlineMarkup",
     "SentenceToken",
     "Token",
-    "Word",
     "EntityChange",
     "EntityChecksumStore",
     "WebAwareDiffer",

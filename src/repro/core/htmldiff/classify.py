@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 from .matcher import TokenMatcher, match_tokens
 from .options import HtmlDiffOptions
@@ -55,23 +56,49 @@ class DiffEntry:
 
 @dataclass
 class ClassifiedDiff:
-    """The complete classification plus summary statistics."""
+    """The complete classification plus summary statistics.
+
+    The statistics are counted in one walk over ``entries``, the first
+    time any of them is read, and kept: the entries never change once
+    classified.
+    """
 
     entries: List[DiffEntry]
     old_count: int
     new_count: int
 
+    @cached_property
+    def _counts(self) -> Tuple[int, int, int, int]:
+        """(old entries, new entries, fuzzy commons, changed regions)."""
+        old = new = fuzzy = regions = 0
+        in_change = False
+        for entry in self.entries:
+            cls = entry.cls
+            if cls is EntryClass.OLD:
+                old += 1
+            elif cls is EntryClass.NEW:
+                new += 1
+            elif entry.is_fuzzy_common:
+                fuzzy += 1
+            else:
+                in_change = False
+                continue
+            if not in_change:
+                regions += 1
+                in_change = True
+        return old, new, fuzzy, regions
+
     @property
     def common_entries(self) -> int:
-        return sum(1 for e in self.entries if e.cls is EntryClass.COMMON)
+        return len(self.entries) - self.changed_entries
 
     @property
     def old_entries(self) -> int:
-        return sum(1 for e in self.entries if e.cls is EntryClass.OLD)
+        return self._counts[0]
 
     @property
     def new_entries(self) -> int:
-        return sum(1 for e in self.entries if e.cls is EntryClass.NEW)
+        return self._counts[1]
 
     @property
     def changed_entries(self) -> int:
@@ -80,9 +107,7 @@ class ClassifiedDiff:
     @property
     def identical(self) -> bool:
         """No old/new tokens and no fuzzy matches: nothing changed."""
-        return self.changed_entries == 0 and not any(
-            e.is_fuzzy_common for e in self.entries
-        )
+        return self._counts[3] == 0
 
     @property
     def change_density(self) -> float:
@@ -92,22 +117,13 @@ class ClassifiedDiff:
         total = len(self.entries)
         if total == 0:
             return 0.0
-        changed = self.changed_entries + sum(
-            1 for e in self.entries if e.is_fuzzy_common
-        )
-        return changed / total
+        old, new, fuzzy, _regions = self._counts
+        return (old + new + fuzzy) / total
 
     @property
     def difference_count(self) -> int:
         """Number of contiguous changed regions (arrow count)."""
-        count = 0
-        in_change = False
-        for entry in self.entries:
-            changed = entry.cls is not EntryClass.COMMON or entry.is_fuzzy_common
-            if changed and not in_change:
-                count += 1
-            in_change = changed
-        return count
+        return self._counts[3]
 
 
 def classify_documents(

@@ -20,37 +20,43 @@ document:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ...html.entities import encode_entities
 from .classify import ClassifiedDiff, DiffEntry, EntryClass
 from .options import HtmlDiffOptions
-from .tokens import BreakToken, SentenceToken, Word
+from .tokens import BreakToken, SentenceItem, SentenceToken
 
 __all__ = ["MergedPageRenderer", "render_sentence_source"]
 
 
+def _joiner(sentence: SentenceToken) -> str:
+    return "\n" if sentence.preformatted else " "
+
+
+def _render_items(items: Sequence[SentenceItem], joiner: str,
+                  open_: str = "", close: str = "") -> str:
+    """Items re-emitted as HTML: markups raw, each maximal run of words
+    re-escaped and wrapped in ``open_``/``close``.  Escaping is per
+    character, so a run escapes in one call."""
+    pieces: List[str] = []
+    run: List[str] = []
+    for item in items:
+        if type(item) is str:
+            run.append(item)
+            continue
+        if run:
+            pieces.append(f"{open_}{encode_entities(joiner.join(run))}{close}")
+            run = []
+        pieces.append(item.raw)
+    if run:
+        pieces.append(f"{open_}{encode_entities(joiner.join(run))}{close}")
+    return joiner.join(pieces)
+
+
 def render_sentence_source(sentence: SentenceToken) -> str:
     """A sentence re-emitted as HTML: markups raw, words re-escaped."""
-    if sentence.preformatted:
-        return "\n".join(
-            encode_entities(item.text) if isinstance(item, Word) else item.raw
-            for item in sentence.items
-        )
-    return " ".join(
-        encode_entities(item.text) if isinstance(item, Word) else item.raw
-        for item in sentence.items
-    )
-
-
-def _render_words_only(sentence: SentenceToken) -> str:
-    """A sentence with every markup stripped (how OLD text renders)."""
-    joiner = "\n" if sentence.preformatted else " "
-    return joiner.join(
-        encode_entities(item.text)
-        for item in sentence.items
-        if isinstance(item, Word)
-    )
+    return _render_items(sentence.items, _joiner(sentence))
 
 
 class MergedPageRenderer:
@@ -65,9 +71,6 @@ class MergedPageRenderer:
     @staticmethod
     def _is_changed(entry: DiffEntry) -> bool:
         return entry.cls is not EntryClass.COMMON or entry.is_fuzzy_common
-
-    def _count_regions(self, diff: ClassifiedDiff) -> int:
-        return diff.difference_count
 
     # ------------------------------------------------------------------
     # Arrows / banner
@@ -91,7 +94,7 @@ class MergedPageRenderer:
         )
 
     def _banner(self, diff: ClassifiedDiff, note: str = "") -> str:
-        total = self._count_regions(diff)
+        total = diff.difference_count
         if total == 0:
             summary = "The two versions are identical under comparison."
             link = ""
@@ -109,16 +112,26 @@ class MergedPageRenderer:
     # ------------------------------------------------------------------
     # Sentence rendering per class
     # ------------------------------------------------------------------
-    def _render_old_sentence(self, sentence: SentenceToken) -> str:
-        text = _render_words_only(sentence)
+    def _struck(self, items: Sequence[SentenceItem], joiner: str) -> str:
+        """Old words struck out, every markup stripped; markup-only old
+        material vanishes entirely."""
+        text = encode_entities(
+            joiner.join(item for item in items if type(item) is str))
         if not text:
-            return ""  # a markup-only old sentence vanishes entirely
+            return ""
         return f"{self.options.old_open}{text}{self.options.old_close}"
 
-    def _render_new_sentence(self, sentence: SentenceToken) -> str:
+    def _emphasized(self, items: Sequence[SentenceItem], joiner: str) -> str:
         # New markups stay live; new words are emphasized.  Emphasis
         # wraps maximal word runs so markup nesting stays legal.
-        return self._wrap_word_runs(sentence, highlight=True)
+        return _render_items(items, joiner, self.options.new_open,
+                             self.options.new_close)
+
+    def _render_old_sentence(self, sentence: SentenceToken) -> str:
+        return self._struck(sentence.items, _joiner(sentence))
+
+    def _render_new_sentence(self, sentence: SentenceToken) -> str:
+        return self._emphasized(sentence.items, _joiner(sentence))
 
     def _render_common_sentence(self, entry: DiffEntry) -> str:
         if not entry.is_fuzzy_common or not self.options.refine_matched_sentences:
@@ -152,28 +165,6 @@ class MergedPageRenderer:
         switches = sum(1 for a, b in zip(events, events[1:]) if a != b)
         return len(events) + switches
 
-    def _wrap_word_runs(self, sentence: SentenceToken, highlight: bool) -> str:
-        joiner = "\n" if sentence.preformatted else " "
-        pieces: List[str] = []
-        run: List[str] = []
-
-        def _flush_run() -> None:
-            if run:
-                text = joiner.join(run)
-                if highlight:
-                    text = f"{self.options.new_open}{text}{self.options.new_close}"
-                pieces.append(text)
-                run.clear()
-
-        for item in sentence.items:
-            if isinstance(item, Word):
-                run.append(encode_entities(item.text))
-            else:
-                _flush_run()
-                pieces.append(item.raw)
-        _flush_run()
-        return joiner.join(pieces)
-
     def _render_refined(
         self, old: SentenceToken, new: SentenceToken
     ) -> str:
@@ -191,56 +182,17 @@ class MergedPageRenderer:
         # Same weighting as the matcher, so the rendered alignment is
         # the one the match weight was computed from.
         matches = weighted_lcs_pairs(old.items, new.items, _item_weight)
-        joiner = "\n" if new.preformatted else " "
+        joiner = _joiner(new)
         pieces: List[str] = []
         old_pos = new_pos = 0
-
-        def _old_words(upto: int) -> None:
-            nonlocal old_pos
-            struck: List[str] = []
-            while old_pos < upto:
-                item = old.items[old_pos]
-                if isinstance(item, Word):
-                    struck.append(encode_entities(item.text))
-                old_pos += 1
-            if struck:
-                pieces.append(
-                    f"{self.options.old_open}{joiner.join(struck)}"
-                    f"{self.options.old_close}"
-                )
-
-        def _new_items(upto: int) -> None:
-            nonlocal new_pos
-            added: List[str] = []
-
-            def _flush_added() -> None:
-                if added:
-                    pieces.append(
-                        f"{self.options.new_open}{joiner.join(added)}"
-                        f"{self.options.new_close}"
-                    )
-                    added.clear()
-
-            while new_pos < upto:
-                item = new.items[new_pos]
-                if isinstance(item, Word):
-                    added.append(encode_entities(item.text))
-                else:
-                    _flush_added()
-                    pieces.append(item.raw)
-                new_pos += 1
-            _flush_added()
-
-        for i, j, _w in matches:
-            _old_words(i)
-            _new_items(j)
-            item = new.items[j]
-            pieces.append(
-                encode_entities(item.text) if isinstance(item, Word) else item.raw
-            )
+        # The end of both sentences closes the last unmatched stretch.
+        for i, j in [(i, j) for i, j, _w in matches] + [
+                (len(old.items), len(new.items))]:
+            pieces.append(self._struck(old.items[old_pos:i], joiner))
+            pieces.append(self._emphasized(new.items[new_pos:j], joiner))
+            if j < len(new.items):
+                pieces.append(_render_items(new.items[j:j + 1], joiner))
             old_pos, new_pos = i + 1, j + 1
-        _old_words(len(old.items))
-        _new_items(len(new.items))
         return joiner.join(piece for piece in pieces if piece)
 
     # ------------------------------------------------------------------
@@ -248,7 +200,7 @@ class MergedPageRenderer:
     # ------------------------------------------------------------------
     def render_merged(self, diff: ClassifiedDiff, note: str = "") -> str:
         """The default merged page (Figure 2's format)."""
-        total = self._count_regions(diff)
+        total = diff.difference_count
         out: List[str] = []
         region_index = 0
         in_change = False
@@ -326,7 +278,7 @@ class MergedPageRenderer:
         "especially useful for very large documents but can be
         confusing because of the loss of surrounding common context."
         """
-        total = self._count_regions(diff)
+        total = diff.difference_count
         out: List[str] = []
         region_index = 0
         in_change = False

@@ -39,7 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 from ...diffcore.anchor import anchored_lcs_pairs
 from ...diffcore.lcs import canonicalize_pairs, weighted_lcs_pairs
 from .options import HtmlDiffOptions
-from .tokens import BreakToken, SentenceToken, Token, Word
+from .tokens import BreakToken, SentenceToken, Token
 
 __all__ = ["TokenMatcher", "match_tokens"]
 
@@ -52,7 +52,9 @@ def _item_weight(x, y) -> float:
     """Sentence-item weight: exact equality, content items dominant."""
     if x != y:
         return 0.0
-    return 1.0 if x.counts_toward_length else _PRESENTATION_EPSILON
+    if type(x) is str or x.content_defining:
+        return 1.0
+    return _PRESENTATION_EPSILON
 
 
 class TokenMatcher:
@@ -132,9 +134,9 @@ class TokenMatcher:
         bag = self._bags.get(key)
         if bag is None:
             bag = Counter(
-                item.text if isinstance(item, Word) else item.normalized
+                item if type(item) is str else item.normalized
                 for item in sentence.items
-                if item.counts_toward_length
+                if type(item) is str or item.content_defining
             )
             self._bags[key] = bag
         return bag

@@ -24,13 +24,12 @@ from ...html.model import (
     is_sentence_breaking,
 )
 from ...html.repair import repair_nodes
-from .tokens import BreakToken, InlineMarkup, SentenceItem, SentenceToken, Word
+from .tokens import BreakToken, InlineMarkup, SentenceItem, SentenceToken
 
 __all__ = ["tokenize_document", "tokens_from_nodes"]
 
 # Sentence-final punctuation followed by whitespace ends a sentence.
 _SENTENCE_END_RE = re.compile(r"((?<=[.!?])[\"')\]]*)(\s+)")
-_WS_RE = re.compile(r"\s+")
 
 
 class _Builder:
@@ -48,9 +47,6 @@ class _Builder:
                               preformatted=self._preformatted)
             )
             self._items = []
-
-    def add_word(self, text: str) -> None:
-        self._items.append(Word(text))
 
     def add_markup(self, tag: Tag) -> None:
         self._items.append(
@@ -85,22 +81,18 @@ class _Builder:
             if index > 0:
                 self.flush()  # each PRE line is its own sentence
             if line.strip():
-                self._items.append(Word(line))
+                self._items.append(line)
 
     def _add_flowing_text(self, data: str) -> None:
         decoded = decode_entities(data)
         # Split while keeping track of which gaps end a sentence.
         pos = 0
         for match in _SENTENCE_END_RE.finditer(decoded):
-            piece = decoded[pos:match.end(1)]
-            for word in _WS_RE.split(piece):
-                if word:
-                    self.add_word(word)
+            # str.split() splits on exactly what ``\s`` matches.
+            self._items.extend(decoded[pos:match.end(1)].split())
             self.flush()
             pos = match.end()
-        for word in _WS_RE.split(decoded[pos:]):
-            if word:
-                self.add_word(word)
+        self._items.extend(decoded[pos:].split())
 
 
 def tokens_from_nodes(nodes: List[Node]) -> List:

@@ -7,6 +7,13 @@ elements are words (compared exactly) and inline markups (compared by
 normalized form).  Sentence *length* counts only words and
 content-defining markups — ``<B>`` and ``<I>`` are invisible to the
 length metric and to the match weight.
+
+A word is a plain ``str`` (raw text, entities decoded, whitespace
+delimited): strings, and tuples holding only strings, are invisible to
+the cyclic garbage collector, and a page's worth of diffs holds
+hundreds of thousands of words.  A sentence's ``key`` and ``length``
+are fixed when it is built, because the matcher and the renderer read
+them for every pair they look at.
 """
 
 from __future__ import annotations
@@ -16,22 +23,8 @@ from typing import Tuple, Union
 
 from ...html.lexer import Tag
 
-__all__ = ["Word", "InlineMarkup", "SentenceItem", "SentenceToken",
-           "BreakToken", "Token"]
-
-
-@dataclass(frozen=True)
-class Word:
-    """One word of raw text (entities decoded, whitespace-delimited)."""
-
-    text: str
-
-    @property
-    def counts_toward_length(self) -> bool:
-        return True
-
-    def __str__(self) -> str:
-        return self.text
+__all__ = ["InlineMarkup", "SentenceItem", "SentenceToken", "BreakToken",
+           "Token"]
 
 
 @dataclass(frozen=True)
@@ -48,10 +41,6 @@ class InlineMarkup:
     raw: str
     content_defining: bool
 
-    @property
-    def counts_toward_length(self) -> bool:
-        return self.content_defining
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, InlineMarkup):
             return self.normalized == other.normalized
@@ -64,7 +53,8 @@ class InlineMarkup:
         return self.raw
 
 
-SentenceItem = Union[Word, InlineMarkup]
+#: A word (``str``) or an inline markup.
+SentenceItem = Union[str, InlineMarkup]
 
 
 @dataclass(frozen=True)
@@ -75,25 +65,34 @@ class SentenceToken:
     #: True when the sentence came from inside <PRE>: whitespace is
     #: content there and rendering must not re-flow it.
     preformatted: bool = False
+    #: Hashable identity used for weight memoization: each word, and
+    #: each markup's normalized form.  A sentence of words only is its
+    #: own key.
+    key: Tuple[str, ...] = field(init=False, compare=False, repr=False)
+    #: Paper: "the number of words and 'content-defining' markups such
+    #: as <IMG> or <A> in a sentence.  Markups such as <B> or <I> are
+    #: not counted."
+    length: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def length(self) -> int:
-        """Paper: "the number of words and 'content-defining' markups
-        such as <IMG> or <A> in a sentence.  Markups such as <B> or <I>
-        are not counted."""
-        return sum(1 for item in self.items if item.counts_toward_length)
-
-    @property
-    def key(self) -> Tuple:
-        """Hashable identity used for weight memoization."""
-        return tuple(
-            item.text if isinstance(item, Word) else item.normalized
-            for item in self.items
-        )
+    def __post_init__(self) -> None:
+        items = self.items
+        key = items
+        length = 0
+        for item in items:
+            if type(item) is str:
+                length += 1
+            else:
+                key = None
+                length += item.content_defining
+        if key is None:
+            key = tuple(item if type(item) is str else item.normalized
+                        for item in items)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "length", length)
 
     @property
     def words(self) -> Tuple[str, ...]:
-        return tuple(item.text for item in self.items if isinstance(item, Word))
+        return tuple(item for item in self.items if type(item) is str)
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return " ".join(str(item) for item in self.items)

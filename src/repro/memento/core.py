@@ -198,18 +198,24 @@ _LINK_PARAM_RE = re.compile(r';\s*([A-Za-z][A-Za-z0-9-]*)\s*=\s*(?:"([^"]*)"|([^
 
 def _split_link_values(text: str) -> List[str]:
     """Split a Link header (or link-format body) on the commas that
-    separate link-values — not the commas inside quoted datetimes."""
+    separate link-values — not the commas inside quoted datetimes, nor
+    those inside a ``<target>`` (commas are legal in URIs, RFC 3986
+    sub-delims, and a ``"`` there opens no quoted string)."""
     values: List[str] = []
-    depth_quote = False
+    in_quote = in_target = False
     current = []
     for ch in text:
-        if ch == '"':
-            depth_quote = not depth_quote
-        if ch == "," and not depth_quote:
+        if in_target:
+            in_target = ch != ">"
+        elif ch == "<" and not in_quote:
+            in_target = True
+        elif ch == '"':
+            in_quote = not in_quote
+        elif ch == "," and not in_quote:
             values.append("".join(current))
             current = []
-        else:
-            current.append(ch)
+            continue
+        current.append(ch)
     if current:
         values.append("".join(current))
     return [value for value in (v.strip() for v in values) if value]

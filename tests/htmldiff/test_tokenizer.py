@@ -1,7 +1,15 @@
 """Tests for the HtmlDiff tokenizer."""
 
+import gc
+import random
+
+from repro.core.htmldiff.api import html_diff
+from repro.core.htmldiff.classify import EntryClass
 from repro.core.htmldiff.tokenizer import tokenize_document
-from repro.core.htmldiff.tokens import BreakToken, InlineMarkup, SentenceToken, Word
+from repro.core.htmldiff.tokens import BreakToken, InlineMarkup, SentenceToken
+from repro.web.guards import HtmlBudget
+from repro.workloads.mutate import MUTATORS
+from repro.workloads.pagegen import PageGenerator
 
 
 def kinds(tokens):
@@ -26,7 +34,7 @@ class TestTokenization:
         sentences = [t for t in tokens if isinstance(t, SentenceToken)]
         assert len(sentences) == 1
         items = sentences[0].items
-        assert isinstance(items[0], Word)
+        assert items[0] == "some"
         assert isinstance(items[1], InlineMarkup)
         assert items[1].normalized == "<B>"
 
@@ -100,7 +108,7 @@ class TestPreformatted:
         sentences = [t for t in tokens if isinstance(t, SentenceToken)]
         assert len(sentences) == 2
         assert sentences[0].preformatted
-        assert sentences[0].items[0].text == "line one"
+        assert sentences[0].items[0] == "line one"
 
     def test_indentation_is_content(self):
         a = tokenize_document("<PRE>  x</PRE>")
@@ -157,3 +165,93 @@ class TestParagraphToListExample:
             if isinstance(t, BreakToken)
         ]
         assert para_breaks != list_breaks
+
+
+# ----------------------------------------------------------------------
+# Invariants of the token model over seeded generated pages
+# ----------------------------------------------------------------------
+def _generated_pairs():
+    """(old, new) pairs: plain, <PRE> and markup-rich pages under every
+    mutation operator, three seeds each."""
+    for seed in (5, 6, 7):
+        gen = PageGenerator(seed=seed)
+        old = gen.page(paragraphs=12, links=6, with_pre=True)
+        old = old.replace(" the ", ' <B>the</B> <IMG SRC="x.gif"> ', 3)
+        for name in sorted(MUTATORS):
+            new = MUTATORS[name](old, random.Random(seed))
+            yield old, new
+
+
+def _recount(sentence):
+    key = tuple(i if type(i) is str else i.normalized for i in sentence.items)
+    length = sum(1 for i in sentence.items
+                 if type(i) is str or i.content_defining)
+    return key, length
+
+
+class TestTokenModelInvariants:
+    def test_key_and_length_equal_a_recount_of_items(self):
+        seen_markup = seen_words_only = 0
+        for old, _new in _generated_pairs():
+            for token in tokenize_document(old):
+                if isinstance(token, BreakToken):
+                    assert token.key == (token.normalized,)
+                    continue
+                key, length = _recount(token)
+                assert token.key == key
+                assert token.length == length
+                assert token.words == tuple(
+                    i for i in token.items if type(i) is str)
+                if all(type(i) is str for i in token.items):
+                    seen_words_only += 1
+                    assert token.key is token.items
+                else:
+                    seen_markup += 1
+        assert seen_markup and seen_words_only
+
+    def test_key_and_length_stay_out_of_equality(self):
+        a, b = tokenize_document("one two"), tokenize_document("one two")
+        assert a == b and hash(a[0]) == hash(b[0])
+        assert "key" not in repr(a[0]) and "length" not in repr(a[0])
+
+    def test_diff_statistics_equal_a_recount_of_entries(self):
+        def changed(entry):
+            return entry.cls is not EntryClass.COMMON or (
+                isinstance(entry.old_token, SentenceToken)
+                and _recount(entry.old_token)[0] != _recount(entry.new_token)[0]
+            )
+
+        degraded = 0
+        for old, new in _generated_pairs():
+            for budget in (None, HtmlBudget(max_work=50)):
+                result = html_diff(old, new, budget=budget)
+                diff = result.diff
+                degraded += result.degraded
+                entries = diff.entries
+                flags = [changed(e) for e in entries]
+                regions = sum(1 for k, flag in enumerate(flags)
+                              if flag and (k == 0 or not flags[k - 1]))
+                by_cls = {cls: sum(1 for e in entries if e.cls is cls)
+                          for cls in EntryClass}
+                assert diff.common_entries == by_cls[EntryClass.COMMON]
+                assert diff.old_entries == by_cls[EntryClass.OLD]
+                assert diff.new_entries == by_cls[EntryClass.NEW]
+                assert diff.changed_entries == (by_cls[EntryClass.OLD]
+                                                + by_cls[EntryClass.NEW])
+                assert diff.difference_count == regions
+                assert diff.identical == (not any(flags))
+                expected = sum(flags) / len(entries) if entries else 0.0
+                assert diff.change_density == expected
+                assert result.difference_count == regions
+        assert degraded  # the coarse line-diff path was covered too
+
+    def test_words_and_words_only_keys_are_not_gc_tracked(self):
+        tokens = [t for old, new in _generated_pairs()
+                  for t in tokenize_document(old) + tokenize_document(new)]
+        gc.collect()
+        sentences = [t for t in tokens if isinstance(t, SentenceToken)]
+        words = [i for t in sentences for i in t.items if type(i) is str]
+        assert words and not any(gc.is_tracked(w) for w in words)
+        plain = [t for t in sentences if not any(
+            isinstance(i, InlineMarkup) for i in t.items)]
+        assert plain and not any(gc.is_tracked(t.key) for t in plain)

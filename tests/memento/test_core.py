@@ -1,5 +1,7 @@
 """Tests for the Memento protocol core: negotiation, links, TimeMaps."""
 
+import random
+
 import pytest
 
 from repro.memento.core import (
@@ -151,3 +153,75 @@ class TestTimeMaps:
         first, second = timemap.mementos
         assert timemap.neighbours(first) == (None, second)
         assert timemap.neighbours(second) == (first, None)
+
+
+class TestLinkHeaderOracle:
+    """Round-trip oracle: whatever AIDE serializes as a Link header or
+    a TimeMap body, its own parser reads back unchanged.  Targets carry
+    the URI characters that are also Link-header syntax (``,`` ``;``
+    ``=`` ``?`` ``%``, and a stray ``"``); rels, datetimes and types
+    cover everything the format emits."""
+
+    #: No ``r``/``e``/``v``, so a random target never spells ``rev=``
+    #: (which would make ``parse_timemap`` recover a revision from it).
+    CHARS = "abcdxyz0123456789,;?=%&-._~!$'()*+:@/"
+    RELS = ("original", "timegate", "timemap", "memento", "first",
+            "last", "prev", "next", "self")
+    TYPES = (None, LINK_FORMAT, "text/html")
+
+    def _target(self, rng):
+        body = "".join(rng.choice(self.CHARS)
+                       for _ in range(rng.randint(0, 24)))
+        if rng.random() < 0.05:
+            body += '"'
+        return f"http://h{rng.randint(0, 99)}.com/{body}"
+
+    def _datetime(self, rng):
+        return rng.randint(0, 40 * 365 * 86400)
+
+    def test_link_header_round_trip(self):
+        rng = random.Random(7089)
+        mismatches = commas = 0
+        for _ in range(3000):
+            entries = [
+                LinkEntry(
+                    self._target(rng), rng.choice(self.RELS),
+                    datetime=(self._datetime(rng) if rng.random() < 0.5
+                              else None),
+                    type=rng.choice(self.TYPES),
+                )
+                for _ in range(rng.randint(1, 6))
+            ]
+            commas += any("," in e.target for e in entries)
+            mismatches += parse_link_header(format_link_header(entries)) != entries
+        assert commas > 1000
+        assert mismatches == 0
+
+    def test_timemap_round_trip(self):
+        rng = random.Random(1996)
+        mismatches = 0
+        for _ in range(500):
+            original = self._target(rng)
+            script = "/cgi-bin/snapshot"
+            mementos = set()
+            for index in range(rng.randint(0, 8)):
+                if rng.random() < 0.5:
+                    revision = f"1.{index + 1}"
+                    uri = memento_uri(script, original, revision)
+                else:
+                    revision, uri = "", self._target(rng) + f"/{index}"
+                mementos.add(Memento(datetime=self._datetime(rng), uri=uri,
+                                     revision=revision))
+            timemap = TimeMap(
+                original=original,
+                timegate=timegate_uri(script, original),
+                timemap=timemap_uri(script, original),
+                mementos=sorted(mementos),
+            )
+            mismatches += parse_timemap(format_timemap(timemap)) != timemap
+        assert mismatches == 0
+
+    def test_comma_in_target_keeps_the_link(self):
+        entries = [LinkEntry("http://h.com/a,b.html", "original"),
+                   LinkEntry("http://h.com/x", "memento", datetime=1000)]
+        assert parse_link_header(format_link_header(entries)) == entries
