@@ -28,7 +28,7 @@ from ..core.w3newer.hotlist import Hotlist
 from ..core.w3newer.thresholds import ThresholdConfig
 from ..html.entities import encode_entities
 from ..simclock import NEVER, CronScheduler, SimClock, format_timestamp
-from ..web.cgi import encode_query_string, parse_query_string
+from ..web.cgi import encode_query_string, request_params
 from ..web.client import UserAgent
 from ..web.http import NetworkError, Request, Response, make_response
 
@@ -207,10 +207,7 @@ class HostedTrackerService:
     # CGI face
     # ------------------------------------------------------------------
     def __call__(self, request: Request, now: int) -> Response:
-        if request.method == "POST":
-            params = parse_query_string(request.body)
-        else:
-            params = parse_query_string(request.url.query)
+        params = request_params(request)
         action = params.get("action", "report")
         user = params.get("user", "")
         if not user:

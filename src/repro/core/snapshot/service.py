@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ...html.entities import encode_entities
 from ...memento.endpoints import (
@@ -33,7 +33,7 @@ from ...memento.endpoints import (
     MementoHttpError,
 )
 from ...obs import to_json, to_prometheus
-from ...web.cgi import encode_query_string, parse_query_string
+from ...web.cgi import encode_query_string, request_params
 from ...web.http import Request, Response, make_response
 from .keepalive import CgiTimeout, KeepAlive
 from .persistence import verify_store
@@ -135,11 +135,12 @@ class SnapshotService:
     # ------------------------------------------------------------------
     # CGI entry point
     # ------------------------------------------------------------------
-    def __call__(self, request: Request, now: int) -> Response:
-        if request.method == "POST":
-            params = parse_query_string(request.body)
-        else:
-            params = parse_query_string(request.url.query)
+    def __call__(self, request: Request, now: int,
+                 params: Optional[Dict[str, str]] = None) -> Response:
+        """Serve one CGI request.  ``params`` are the request's already
+        parsed parameters, when the caller (the diff server) has them."""
+        if params is None:
+            params = request_params(request)
         action = params.get("action", "")
         url = params.get("url", "")
         user = params.get("user", "")

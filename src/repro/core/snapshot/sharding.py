@@ -37,6 +37,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from ...lru import LruCache
 from ...obs import NOOP as NOOP_OBS
 from ...simclock import SimClock
 from ...web.client import UserAgent
@@ -65,6 +66,9 @@ __all__ = [
     "load_sharded",
     "verify_sharded",
 ]
+
+#: Entries in each router's URL -> winning shard memo.
+WINNER_MEMO_SIZE = 1 << 12
 
 #: Manifest file naming the shard count, so loaders and ``fsck`` can
 #: tell a sharded repository from a plain one.
@@ -109,6 +113,9 @@ class ShardRouter:
         self.shard_count = shard_count
         #: Requests routed per shard (the balance witness).
         self.routed = [0] * shard_count
+        #: URL -> winner.  Keys are URLs as callers spell them (outside
+        #: input), so the memo is bounded.
+        self._winners: LruCache[int] = LruCache(WINNER_MEMO_SIZE)
 
     @staticmethod
     def _score(index: int, key: str) -> bytes:
@@ -116,14 +123,17 @@ class ShardRouter:
 
     def shard_for(self, url: str) -> int:
         """The winning shard index for ``url`` (no counter side effect)."""
-        key = canonical_url(url)
-        best_index = 0
-        best_score = self._score(0, key)
-        for index in range(1, self.shard_count):
-            score = self._score(index, key)
-            if score > best_score:
-                best_index, best_score = index, score
-        return best_index
+        winner = self._winners.get(url)
+        if winner is None:
+            key = canonical_url(url)
+            winner = 0
+            best_score = self._score(0, key)
+            for index in range(1, self.shard_count):
+                score = self._score(index, key)
+                if score > best_score:
+                    winner, best_score = index, score
+            self._winners.put(url, winner)
+        return winner
 
     def route(self, url: str) -> int:
         """Like :meth:`shard_for`, but counts the routing decision."""

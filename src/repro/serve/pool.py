@@ -20,7 +20,8 @@ lets the closed-loop benchmark assert byte-identity while simulating
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from heapq import heappop, heappush, heapreplace
+from typing import Dict, List, Tuple, Union
 
 from ..obs import NOOP as NOOP_OBS
 
@@ -74,9 +75,11 @@ class WorkerPool:
             raise ValueError("queue_limit must be >= 0")
         self.workers = workers
         self.queue_limit = queue_limit
-        self._free_at: List[int] = [0] * workers
-        #: Start times of admitted-but-not-started requests (pruned
-        #: lazily against the current instant).
+        #: Min-heap of ``(free_at, worker)``: the top is the
+        #: earliest-free worker, ties broken toward the lowest index.
+        self._free: List[Tuple[int, int]] = [(0, i) for i in range(workers)]
+        #: Min-heap of the start times of admitted-but-not-started
+        #: requests (popped lazily up to the current instant).
         self._queued_starts: List[int] = []
         self.admitted = 0
         self.rejected = 0
@@ -91,26 +94,25 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def _prune(self, now: int) -> None:
-        self._queued_starts = [s for s in self._queued_starts if s > now]
+        queued = self._queued_starts
+        while queued and queued[0] <= now:
+            heappop(queued)
 
     def queue_depth(self, now: int) -> int:
         self._prune(now)
         return len(self._queued_starts)
 
     def busy_workers(self, now: int) -> int:
-        return sum(1 for free in self._free_at if free > now)
-
-    def earliest_free(self) -> int:
-        return min(self._free_at)
+        return sum(1 for free, _ in self._free if free > now)
 
     def next_slot_time(self) -> int:
         """The earliest instant a rejected request could be admitted:
         when a queued request starts (freeing its queue slot) or when a
         worker drains entirely, whichever comes first."""
-        candidates = [min(self._free_at)]
+        earliest = self._free[0][0]
         if self._queued_starts:
-            candidates.append(min(self._queued_starts))
-        return min(candidates)
+            return min(earliest, self._queued_starts[0])
+        return earliest
 
     # ------------------------------------------------------------------
     def admit(self, cost: int, now: int) -> Union[Admission, Rejection]:
@@ -120,8 +122,8 @@ class WorkerPool:
         if cost < 0:
             raise ValueError("cost must be >= 0")
         self._prune(now)
-        worker = min(range(self.workers), key=lambda i: self._free_at[i])
-        start = max(now, self._free_at[worker])
+        free_at, worker = self._free[0]
+        start = max(now, free_at)
         if start > now and len(self._queued_starts) >= self.queue_limit:
             self.rejected += 1
             self._c_rejected.inc()
@@ -129,13 +131,13 @@ class WorkerPool:
             self._update_gauges(now)
             return Rejection(retry_after=retry_after)
         finish = start + cost
-        self._free_at[worker] = finish
+        heapreplace(self._free, (finish, worker))
         self.admitted += 1
         self.busy_seconds += cost
         self._c_admitted.inc()
         if start > now:
             self.queued += 1
-            self._queued_starts.append(start)
+            heappush(self._queued_starts, start)
         self._h_wait.observe(start - now)
         self._update_gauges(now)
         return Admission(worker=worker, start=start, finish=finish)

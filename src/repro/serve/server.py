@@ -48,7 +48,7 @@ from ..core.snapshot.store import diff_cache_key
 from ..memento.core import ACCEPT_DATETIME
 from ..obs import NOOP as NOOP_OBS, to_json, to_prometheus
 from ..simclock import SimClock
-from ..web.cgi import parse_query_string
+from ..web.cgi import request_params
 from ..web.client import UserAgent
 from ..web.http import Request, Response, make_response
 from ..web.url import canonical_url
@@ -192,10 +192,7 @@ class DiffServer:
             # Fault transitions and the anti-entropy scrub run on the
             # request stream's virtual timestamps — deterministically.
             self.replicator.advance(now)
-        if request.method == "POST":
-            params = parse_query_string(request.body)
-        else:
-            params = parse_query_string(request.url.query)
+        params = request_params(request)
         action = params.get("action", "")
         url = params.get("url", "")
 
@@ -260,7 +257,7 @@ class DiffServer:
             self.replicator.on_read(url, shard_index)
         if cached is not None:
             return cached, schedule
-        response = self.services[shard_index](request, now)
+        response = self.services[shard_index](request, now, params=params)
         if key is not None:
             cache.put(key, response)
         if mutates:

@@ -20,6 +20,7 @@ __all__ = [
     "CgiScript",
     "parse_query_string",
     "encode_query_string",
+    "request_params",
     "CounterScript",
     "ClockScript",
     "FormEchoScript",
@@ -44,6 +45,13 @@ def parse_query_string(query: Optional[str]) -> Dict[str, str]:
         key, _, value = pair.partition("=")
         out[_unescape(key)] = _unescape(value)
     return out
+
+
+def request_params(request: Request) -> Dict[str, str]:
+    """A CGI request's parameters: the form body of a POST, else the
+    URL's query string."""
+    return parse_query_string(
+        request.body if request.method == "POST" else request.url.query)
 
 
 def encode_query_string(params: Dict[str, str]) -> str:
@@ -79,6 +87,8 @@ def _unescape(text: str) -> str:
     that are not valid UTF-8 (overlong encodings included) stay visible
     as literal ``%XX`` text rather than being folded into U+FFFD.
     """
+    if "%" not in text and "+" not in text:
+        return text
     return unquote_to_bytes(text.replace("+", " ")).decode(
         "utf-8", "aide-percent")
 
@@ -86,17 +96,17 @@ def _unescape(text: str) -> str:
 _SAFE = set(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
             b"0123456789-_.~/")
 
+#: Byte value -> its escape, for ``str.translate`` over the UTF-8 bytes
+#: spelled as Latin-1 code points.
+_ESCAPES = tuple(
+    chr(byte) if byte in _SAFE else "+" if byte == 0x20 else f"%{byte:02X}"
+    for byte in range(256)
+)
+
 
 def _escape(text: str) -> str:
-    out = []
-    for byte in text.encode("utf-8"):
-        if byte in _SAFE:
-            out.append(chr(byte))
-        elif byte == 0x20:
-            out.append("+")
-        else:
-            out.append(f"%{byte:02X}")
-    return "".join(out)
+    """``%XX``-escape every UTF-8 byte outside ``_SAFE``; space is ``+``."""
+    return text.encode("utf-8").decode("latin-1").translate(_ESCAPES)
 
 
 class CounterScript:
@@ -156,10 +166,7 @@ class FormEchoScript:
         self.generation = 0
 
     def __call__(self, request: Request, now: int) -> Response:
-        if request.method == "POST":
-            params = parse_query_string(request.body)
-        else:
-            params = parse_query_string(request.url.query)
+        params = request_params(request)
         rows = "".join(
             f"<LI>{key} = {value} (gen {self.generation})"
             for key, value in sorted(params.items())

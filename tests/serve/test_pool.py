@@ -1,6 +1,8 @@
 """Tests for the virtual-time worker pool (admission, queueing,
 shedding, and the determinism the benchmark's gates depend on)."""
 
+import random
+
 import pytest
 
 from repro.serve.pool import Admission, Rejection, WorkerPool
@@ -108,6 +110,66 @@ class TestAccounting:
                 out.append(pool.admit(cost=(i * 7) % 13, now=i // 2))
             return out
         assert run() == run()
+
+
+class _ListScanPool:
+    """The pool's earlier list-scan algorithm, kept as the reference
+    model: free times in a plain list scanned with ``min``, and queued
+    starts rebuilt by a filter on every admission."""
+
+    def __init__(self, workers, queue_limit):
+        self.workers = workers
+        self.queue_limit = queue_limit
+        self._free_at = [0] * workers
+        self._queued_starts = []
+
+    def _prune(self, now):
+        self._queued_starts = [s for s in self._queued_starts if s > now]
+
+    def queue_depth(self, now):
+        self._prune(now)
+        return len(self._queued_starts)
+
+    def next_slot_time(self):
+        candidates = [min(self._free_at)]
+        if self._queued_starts:
+            candidates.append(min(self._queued_starts))
+        return min(candidates)
+
+    def admit(self, cost, now):
+        self._prune(now)
+        worker = min(range(self.workers), key=lambda i: self._free_at[i])
+        start = max(now, self._free_at[worker])
+        if start > now and len(self._queued_starts) >= self.queue_limit:
+            return Rejection(retry_after=max(1, self.next_slot_time() - now))
+        self._free_at[worker] = start + cost
+        if start > now:
+            self._queued_starts.append(start)
+        return Admission(worker=worker, start=start, finish=start + cost)
+
+
+class TestMatchesListScanModel:
+    """The heap-based pool makes exactly the decisions of the list-scan
+    model it replaced, over long seeded admission sequences."""
+
+    @pytest.mark.parametrize("workers,queue_limit,seed", [
+        (1, 0, 1), (1, 3, 2), (3, 0, 3), (4, 8, 4), (8, 64, 5),
+    ])
+    def test_same_decisions(self, workers, queue_limit, seed):
+        rng = random.Random(seed)
+        pool = WorkerPool(workers, queue_limit)
+        model = _ListScanPool(workers, queue_limit)
+        now = 0
+        for _ in range(12_000):
+            # Bursts at one instant, then gaps: queues fill and drain.
+            if rng.random() < 0.3:
+                now += rng.choice((1, 1, 2, 5, 20))
+            cost = rng.choice((0, 1, 2, 5, 10, 30, 60))
+            assert pool.admit(cost, now) == model.admit(cost, now)
+            assert pool.next_slot_time() == model.next_slot_time()
+            assert pool.queue_depth(now) == model.queue_depth(now)
+        assert pool.admitted + pool.rejected == 12_000
+        assert pool.rejected and (queue_limit == 0 or pool.queued)
 
 
 class TestValidation:

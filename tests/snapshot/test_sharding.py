@@ -6,6 +6,9 @@ to a single store for every CGI action, per-shard repositories fsck as
 one, and scheduler-driven interleavings stay deterministic.
 """
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from repro.core.snapshot.sharding import (
     ShardConfigError,
     ShardRouter,
     ShardedSnapshotStore,
+    WINNER_MEMO_SIZE,
     load_sharded,
     read_replication_factor,
     read_shard_count,
@@ -28,6 +32,7 @@ from repro.simclock import DAY, SimClock
 from repro.web.client import UserAgent
 from repro.web.http import Request
 from repro.web.network import Network
+from repro.web.url import canonical_url
 
 PAGES = 24
 
@@ -87,6 +92,37 @@ class TestShardRouter:
     def test_bad_shard_count(self):
         with pytest.raises(ValueError):
             ShardRouter(0)
+
+    def test_winner_memo_is_bounded_and_exact(self):
+        """Over more distinct URLs than the memo holds, every memoized
+        answer is the rendezvous argmax, the memo stays within its
+        bound, and routing a memoized URL still counts."""
+        rng = random.Random(16)
+        router = ShardRouter(5)
+        urls = [
+            f"{rng.choice(('http', 'HTTP'))}://"
+            f"{rng.choice(('a', 'B', 'c'))}{rng.randrange(500)}.com"
+            f"{rng.choice(('', ':80'))}/{i}/p{rng.randrange(10**6)}.html"
+            for i in range(100_000)
+        ]
+        for url in urls:
+            key = canonical_url(url)
+            argmax = max(range(5), key=lambda index: hashlib.sha256(
+                f"{index}|{key}".encode("utf-8")).digest())
+            assert router.shard_for(url) == argmax
+            assert router.replicas_for(url, 1) == [argmax]
+            assert len(router._winners) <= WINNER_MEMO_SIZE
+        assert len(router._winners) == WINNER_MEMO_SIZE
+
+        recent = urls[-WINNER_MEMO_SIZE:]
+        hits = router._winners.hits
+        for url in recent:
+            router.route(url)
+        assert router._winners.hits - hits == len(recent)
+        expected = [0] * 5
+        for url in recent:
+            expected[router.shard_for(url)] += 1
+        assert router.routed == expected
 
 
 class TestShardedStoreIdentity:

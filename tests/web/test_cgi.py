@@ -1,7 +1,7 @@
 """Tests for CGI query-string handling and the stock scripts."""
 
 import random
-from urllib.parse import unquote_plus
+from urllib.parse import quote_plus, unquote_plus
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +14,7 @@ from repro.web.cgi import (
     StaticCgiScript,
     encode_query_string,
     parse_query_string,
+    request_params,
 )
 from repro.web.http import Request
 
@@ -91,6 +92,32 @@ class TestParseQueryString:
 
 
 class TestEncodeQueryString:
+    def test_matches_stdlib_quote_plus(self):
+        """Seeded differential against the stdlib encoder and against a
+        byte-by-byte reference escaper, pure-ASCII and mixed strings."""
+        safe = set(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                   b"0123456789-_.~/")
+
+        def per_byte(text):
+            return "".join(
+                chr(byte) if byte in safe else "+" if byte == 0x20
+                else f"%{byte:02X}" for byte in text.encode("utf-8"))
+
+        rng = random.Random(1997)
+        ascii_chars = list(" %+/~=&?#aZ09-_.\t\x00\x1f\x7f\"'<")
+        other = ["\u00e9", "\u0663", "\u20ac", "\uffff", "\U0001f600",
+                 "\U00010000", "\U0010fffd"]
+        non_ascii = 0
+        for i in range(20_000):
+            alphabet = ascii_chars + (other if i % 2 else [])
+            value = "".join(rng.choice(alphabet)
+                            for _ in range(rng.randint(0, 12)))
+            non_ascii += not value.isascii()
+            expected = "v=" + quote_plus(value, safe="/")
+            assert encode_query_string({"v": value}) == expected, repr(value)
+            assert expected == "v=" + per_byte(value), repr(value)
+        assert 5_000 < non_ascii < 10_000
+
     def test_roundtrip_simple(self):
         params = {"a": "1", "q": "two words", "email": "x@y.com"}
         assert parse_query_string(encode_query_string(params)) == params
@@ -130,6 +157,13 @@ class TestStockScripts:
         via_get = script(self.request("http://h/cgi?a=1&b=2"), 0).body
         via_post = script(self.request(method="POST", body="a=1&b=2"), 0).body
         assert via_get == via_post
+
+    def test_request_params_post_reads_only_the_body(self):
+        post = self.request("http://h/cgi?a=query", method="POST",
+                            body="a=body")
+        assert request_params(post) == {"a": "body"}
+        get = self.request("http://h/cgi?a=query", body="a=body")
+        assert request_params(get) == {"a": "query"}
 
     def test_form_echo_generation_changes_output(self):
         script = FormEchoScript()
