@@ -12,6 +12,10 @@ pipeline's wall time spent in each phase — tokenize
 (``tokenize_document``), classify (``classify_documents``) and render
 (``MergedPageRenderer.render_merged``).
 
+And it times the worst case: two unrelated pages of the same size
+(``PageGenerator`` seeds 1 and 2) at 20/60/120 paragraphs, where almost
+every sentence pair is weighed, in seconds per pair.
+
 Beyond the human-readable rows, the numbers land in
 ``benchmarks/results/BENCH_htmldiff.json`` so CI can archive them.
 """
@@ -64,6 +68,10 @@ COLD_PAIRS = 40
 COLD_PARAGRAPHS = 120
 
 
+#: Paragraph counts of the unrelated same-size worst-case pairs.
+WORST_CASE_PARAGRAPHS = (20, 60, 120)
+
+
 def cold_pairs():
     """Seeded large pairs, one ``MutationMix.typical`` edit each."""
     pairs = []
@@ -79,6 +87,19 @@ def cold_pairs_per_second(pairs):
     for old, new in pairs:
         html_diff(old, new)
     return len(pairs) / (time.perf_counter() - start)
+
+
+def worst_case_seconds():
+    """Seconds for one ``html_diff`` of two unrelated same-size pages,
+    keyed by paragraph count."""
+    seconds = {}
+    for paragraphs in WORST_CASE_PARAGRAPHS:
+        old = PageGenerator(seed=1).page(paragraphs=paragraphs)
+        new = PageGenerator(seed=2).page(paragraphs=paragraphs)
+        start = time.perf_counter()
+        html_diff(old, new)
+        seconds[paragraphs] = time.perf_counter() - start
+    return seconds
 
 
 def phase_shares(pairs):
@@ -153,6 +174,13 @@ def test_fastpath_speedup(benchmark, sink):
     # The three phases are the whole pipeline, up to timer overhead.
     assert abs(sum(shares.values()) - 1.0) <= 0.02, shares
 
+    worst = worst_case_seconds()
+    report["worst_case"] = {
+        "seconds_per_pair": {str(p): round(s, 4) for p, s in worst.items()},
+    }
+    sink.row("worst case (unrelated same-size pages): " + ", ".join(
+        f"{p} paragraphs {s:.2f} s" for p, s in worst.items()))
+
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "BENCH_htmldiff.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -160,6 +188,10 @@ def test_fastpath_speedup(benchmark, sink):
     # The acceptance bar: at least 3x on the large workload.  (Measured
     # well above 10x; 3x keeps slow CI machines from flaking.)
     assert report["large"]["speedup"] >= 3.0
+    # Doubling an unrelated pair's size should cost about 4x (the
+    # sentence pairs weighed grow quadratically); 8x leaves room for
+    # timing noise and still catches a superlinear memo or solver.
+    assert worst[120] <= 8 * worst[60], worst
 
     old, new = make_pair(*SIZES[-1][1:3])
     benchmark(lambda: html_diff(old, new, options=fast))

@@ -37,8 +37,8 @@ class HtmlDiffResult:
     #: HTML unreadable").
     density_suppressed: bool = False
     #: Matcher instrumentation at the time this result was produced:
-    #: memo cache size/limit/evictions, prefilter and upper-bound
-    #: rejections, inner LCS runs, exact-lane hits.
+    #: weight-memo size, prefilter and upper-bound rejections, inner
+    #: LCS runs, exact-lane hits.
     matcher_stats: Dict[str, int] = field(default_factory=dict)
     #: True when a hardening work budget forced the coarse line-diff
     #: path instead of the quadratic sentence comparator.
@@ -70,8 +70,8 @@ def html_diff(
     """Compare two HTML documents and produce a marked-up page.
 
     ``options`` selects the presentation mode and the comparison
-    thresholds; ``matcher`` may be supplied to share a memoization
-    cache (and its instrumentation) across calls.  ``obs`` (an
+    thresholds; ``matcher`` may be supplied to read its counters
+    afterwards (its weight memo lives for one call).  ``obs`` (an
     :class:`repro.obs.Observability`) gets one span per phase —
     tokenize, classify, render — plus invocation/token counters.
 

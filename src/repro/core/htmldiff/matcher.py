@@ -11,7 +11,8 @@ Two token kinds, two matching rules:
 
 Per-pair weights are memoized on sentence keys: the Hirschberg driver
 evaluates the same pair many times across recursion levels, and the
-inner sentence LCS is the expensive part.
+inner sentence LCS is the expensive part.  Each :meth:`match` call
+starts from an empty memo, so it never outgrows one comparison.
 
 The paper says the LCS runs "with several speed optimizations"; beyond
 the affix trimming in :mod:`repro.diffcore.lcs`, this module layers
@@ -75,8 +76,6 @@ class TokenMatcher:
         self.inner_lcs_runs = 0
         #: Identical-key pairs resolved without any item comparison.
         self.exact_lane_hits = 0
-        #: Weight-memo entries dropped to honor ``matcher_cache_size``.
-        self.cache_evictions = 0
 
     # ------------------------------------------------------------------
     def weight(self, a: Token, b: Token) -> float:
@@ -93,8 +92,6 @@ class TokenMatcher:
         """Instrumentation snapshot for the api layer."""
         return {
             "cache_size": len(self._cache),
-            "cache_limit": self.options.matcher_cache_size,
-            "cache_evictions": self.cache_evictions,
             "prefilter_rejections": self.prefilter_rejections,
             "upper_bound_rejections": self.upper_bound_rejections,
             "inner_lcs_runs": self.inner_lcs_runs,
@@ -110,23 +107,7 @@ class TokenMatcher:
         weight = self._compute_sentence_weight(a, b)
         self._cache[key] = weight
         self._cache[(b.key, a.key)] = weight  # symmetry
-        self._enforce_cache_bound()
         return weight
-
-    def _enforce_cache_bound(self) -> None:
-        """Drop oldest memo entries beyond the configured bound (a
-        matcher reused across many page pairs would otherwise grow
-        without limit)."""
-        limit = self.options.matcher_cache_size
-        if limit <= 0:
-            return
-        cache = self._cache
-        while len(cache) > limit:
-            cache.pop(next(iter(cache)))
-            self.cache_evictions += 1
-        bags = self._bags
-        while len(bags) > limit:
-            bags.pop(next(iter(bags)))
 
     def _content_bag(self, sentence: SentenceToken) -> Counter:
         """Multiset of the sentence's content-item identities."""
@@ -201,6 +182,8 @@ class TokenMatcher:
         alignment is a function of the inputs alone, not of which
         solver (or which speed optimization) produced it.
         """
+        self._cache = {}
+        self._bags = {}
         if self.options.use_exact_fast_lane:
             return self._match_interned(old_tokens, new_tokens)
         old_list, new_list = list(old_tokens), list(new_tokens)

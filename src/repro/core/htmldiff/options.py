@@ -64,9 +64,6 @@ class HtmlDiffOptions:
     #: weight callback is an integer compare plus an int-pair memo
     #: (break tokens never pay the sentence-matching machinery).
     use_exact_fast_lane: bool = True
-    #: Bound on the matcher's per-pair weight memo (entries; oldest
-    #: evicted first).  0 means unbounded.
-    matcher_cache_size: int = 65536
 
     # ---- presentation (Section 5.2) ----------------------------------
     mode: PresentationMode = PresentationMode.MERGED
@@ -116,8 +113,6 @@ class HtmlDiffOptions:
             raise ValueError("density_threshold must be within [0, 1]")
         if self.density_fallback not in ("banner-only", "merge"):
             raise ValueError("density_fallback must be banner-only or merge")
-        if self.matcher_cache_size < 0:
-            raise ValueError("matcher_cache_size must be >= 0")
 
     def reference(self) -> "HtmlDiffOptions":
         """A copy with every fast-path layer disabled — the unoptimized

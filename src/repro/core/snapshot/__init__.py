@@ -40,6 +40,7 @@ from .sched import (
 from .service import OperationCosts, SnapshotService
 from .wal import Transaction, WalError, WriteAheadLog
 from .store import (
+    DiffPage,
     RememberResult,
     ContentQuarantined,
     SnapshotError,
@@ -56,6 +57,7 @@ __all__ = [
     "CRASH_POINTS",
     "CrashPlan",
     "DeadlockError",
+    "DiffPage",
     "Failpoints",
     "JournalError",
     "JournalRecord",

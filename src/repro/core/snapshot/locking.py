@@ -43,6 +43,7 @@ the held-count negative (the corruption mode the old counter had).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -340,45 +341,44 @@ class RequestCoalescer:
     run HtmlDiff twice on the same data."  Results are also kept for a
     TTL, implementing the paper's "caching the output of HtmlDiff for a
     while".
+
+    Only fresh results stay resident: entries are kept in the order
+    they were produced and each store drops the stale prefix (the clock
+    never runs backwards, so a stale entry never becomes fresh again).
     """
 
     def __init__(self, clock: SimClock, ttl: int = 0) -> None:
         self.clock = clock
         self.ttl = ttl
-        self._results: Dict[str, Tuple[int, Any]] = {}
+        self._results: "OrderedDict[str, Tuple[int, Any]]" = OrderedDict()
         self.executions = 0
         self.coalesced = 0
+
+    def _fresh(self, produced_at: int) -> bool:
+        age = self.clock.now - produced_at
+        return age == 0 or (self.ttl > 0 and age < self.ttl)
 
     def peek(self, key: str) -> bool:
         """Is a fresh result for ``key`` already available?"""
         entry = self._results.get(key)
-        if entry is None:
-            return False
-        produced_at, _value = entry
-        return self.clock.now == produced_at or (
-            self.ttl > 0 and self.clock.now - produced_at < self.ttl
-        )
+        return entry is not None and self._fresh(entry[0])
 
     def do(self, key: str, work: Callable[[], Any]) -> Any:
         """Return a cached result when fresh, else run ``work``."""
         entry = self._results.get(key)
-        if entry is not None:
-            produced_at, value = entry
-            if self.clock.now == produced_at or (
-                self.ttl > 0 and self.clock.now - produced_at < self.ttl
-            ):
-                self.coalesced += 1
-                return value
+        if entry is not None and self._fresh(entry[0]):
+            self.coalesced += 1
+            return entry[1]
         self.executions += 1
         value = work()
+        self._results.pop(key, None)
         self._results[key] = (self.clock.now, value)
+        while not self._fresh(next(iter(self._results.values()))[0]):
+            self._results.popitem(last=False)
         return value
 
     def invalidate(self, prefix: str = "") -> None:
         """Drop cached results (all, or those whose key starts with
         ``prefix`` — e.g. every diff of one URL after a new check-in)."""
-        if not prefix:
-            self._results.clear()
-            return
         for key in [k for k in self._results if k.startswith(prefix)]:
             del self._results[key]

@@ -42,7 +42,6 @@ from ...obs import NOOP as NOOP_OBS
 from ...simclock import SimClock
 from ...web.client import UserAgent
 from ...web.url import canonical_url
-from ..htmldiff.api import HtmlDiffResult
 from ..htmldiff.options import HtmlDiffOptions
 from .options import StoreOptions
 from .persistence import (
@@ -52,7 +51,7 @@ from .persistence import (
     save_store,
     verify_store,
 )
-from .store import RememberResult, SnapshotStore
+from .store import DiffPage, RememberResult, SnapshotStore
 
 __all__ = [
     "ShardConfigError",
@@ -288,7 +287,7 @@ class ShardedSnapshotStore:
         url: str,
         rev_old: Optional[str] = None,
         rev_new: Optional[str] = None,
-    ) -> HtmlDiffResult:
+    ) -> DiffPage:
         return self.shard(url).diff(user, url, rev_old=rev_old, rev_new=rev_new)
 
     def history(self, user: str, url: str):

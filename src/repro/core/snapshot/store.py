@@ -17,7 +17,7 @@ and later retrieve differences.  Responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from ...html.lexer import Tag, tokenize_html
 from ...lru import LruCache
@@ -28,7 +28,7 @@ from ...web.client import UserAgent
 from ...web.guards import ContentGuard, ContentGuardError
 from ...web.http import NetworkError
 from ...web.url import canonical_url
-from ..htmldiff.api import HtmlDiffResult, html_diff
+from ..htmldiff.api import html_diff
 from ..htmldiff.options import HtmlDiffOptions
 from .locking import LockManager, RequestCoalescer
 from .options import StoreOptions
@@ -38,7 +38,7 @@ if TYPE_CHECKING:
     from .sched import Failpoints
     from .wal import Transaction, WriteAheadLog
 
-__all__ = ["SnapshotStore", "RememberResult", "SnapshotError",
+__all__ = ["SnapshotStore", "RememberResult", "DiffPage", "SnapshotError",
            "ContentQuarantined", "StoreOptions", "add_base_directive",
            "diff_cache_key"]
 
@@ -73,6 +73,18 @@ class RememberResult:
     changed: bool
     fetched_bytes: int
     when: int
+
+
+class DiffPage(NamedTuple):
+    """What :meth:`SnapshotStore.diff` serves and caches: the page and
+    its statistics, plain data the cyclic GC need not walk (unlike
+    :func:`html_diff`'s ``HtmlDiffResult`` and its token graph)."""
+
+    html: str
+    identical: bool
+    difference_count: int
+    change_density: float
+    degraded: bool
 
 
 def add_base_directive(html: str, original_url: str) -> str:
@@ -146,7 +158,7 @@ class SnapshotStore:
         #: coalescer's same-instant window (Section 8.3: many users who
         #: have seen versions N and N+1 share one HtmlDiff run).  Keyed
         #: by :func:`diff_cache_key`; ``diff_cache_size=0`` disables it.
-        self.diff_cache: LruCache[HtmlDiffResult] = LruCache(diff_cache_size)
+        self.diff_cache: LruCache[DiffPage] = LruCache(diff_cache_size)
         #: Checked-out revision texts are immutable too; this cache,
         #: keyed ``(url, revision)``, sits under the diff cache so a Diff
         #: link checks out each endpoint once, shared with
@@ -578,14 +590,18 @@ class SnapshotStore:
         url: str,
         rev_old: Optional[str] = None,
         rev_new: Optional[str] = None,
-    ) -> HtmlDiffResult:
-        """HtmlDiff between two stored versions.
+    ) -> DiffPage:
+        """HtmlDiff between two stored versions, as the served page.
 
         Defaults reproduce the report's Diff link: old = the user's
         last-saved version, new = the newest stored version.  Output is
         cached so "many users who have seen versions N and N+1 of a
         page could retrieve HtmlDiff(pageN, pageN+1) with a single
         invocation".
+
+        Returns a :class:`DiffPage`, not :func:`html_diff`'s full
+        ``HtmlDiffResult``: the classified entries are dropped once the
+        page is rendered, so callers that need them run ``html_diff``.
         """
         key = canonical_url(url)
         with self.obs.span("snapshot.diff", url=key, user=user) as span:
@@ -601,7 +617,7 @@ class SnapshotStore:
         key: str,
         rev_old: Optional[str],
         rev_new: Optional[str],
-    ) -> HtmlDiffResult:
+    ) -> DiffPage:
         archive = self.archives.get(key)
         if archive is None or archive.revision_count == 0:
             raise SnapshotError(f"no snapshots of {key} — Remember it first")
@@ -640,7 +656,7 @@ class SnapshotStore:
 
     def _run_htmldiff(
         self, archive: RcsArchive, rev_old: str, rev_new: str
-    ) -> HtmlDiffResult:
+    ) -> DiffPage:
         try:
             old_text = self._checkout_text(archive.name, archive, rev_old)
             new_text = self._checkout_text(archive.name, archive, rev_new)
@@ -649,8 +665,11 @@ class SnapshotStore:
         self.htmldiff_invocations += 1
         budget = (self.guard.html_budget(archive.name)
                   if self.guard is not None else None)
-        return html_diff(old_text, new_text, options=self.diff_options,
-                         obs=self.obs, budget=budget)
+        result = html_diff(old_text, new_text, options=self.diff_options,
+                           obs=self.obs, budget=budget)
+        return DiffPage(result.html, result.identical,
+                        result.difference_count, result.change_density,
+                        result.degraded)
 
     def _checkout_text(
         self, key: str, archive: RcsArchive, revision: Optional[str] = None

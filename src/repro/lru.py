@@ -2,7 +2,7 @@
 
 Paper Section 4.2: "These loads can be alleviated by caching the output
 of HtmlDiff for a while."  The snapshot store keeps two of these caches
-(finished HtmlDiff results and checked-out revision texts) and the diff
+(served HtmlDiff pages and checked-out revision texts) and the diff
 server keeps one per shard for finished responses
 (:class:`~repro.serve.cache.ResponseCache`).  All three have the same
 eviction rule and report the same stats shape.

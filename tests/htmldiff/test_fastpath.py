@@ -44,10 +44,6 @@ class TestOptionsPlumbing:
         assert FAST.cache_key() != REFERENCE.cache_key()
         assert FAST.cache_key() == HtmlDiffOptions().cache_key()
 
-    def test_negative_cache_size_rejected(self):
-        with pytest.raises(ValueError):
-            HtmlDiffOptions(matcher_cache_size=-1).validate()
-
 
 class TestByteIdentity:
     @pytest.mark.parametrize("op_name", sorted(MUTATORS))
@@ -112,11 +108,20 @@ class TestMatcherStats:
         new = MUTATORS["edit_sentence"](old, random.Random(1))
         result = html_diff(old, new)
         stats = result.matcher_stats
-        for key in ("cache_size", "cache_limit", "cache_evictions",
-                    "prefilter_rejections", "upper_bound_rejections",
-                    "inner_lcs_runs", "exact_lane_hits"):
-            assert key in stats
-        assert stats["cache_limit"] == HtmlDiffOptions().matcher_cache_size
+        assert set(stats) == {"cache_size", "prefilter_rejections",
+                              "upper_bound_rejections", "inner_lcs_runs",
+                              "exact_lane_hits"}
+
+    def test_memo_lives_for_one_match_call(self):
+        big = PageGenerator(seed=5).page(paragraphs=10, links=6)
+        a = tokenize_document(big)
+        b = tokenize_document(MutationMix.typical(seed=5).apply(big))
+        small = tokenize_document("<P>alpha beta gamma.</P>")
+        matcher = TokenMatcher(HtmlDiffOptions())
+        matcher.match(a, b)
+        assert matcher.stats()["cache_size"] > 0
+        matcher.match(small, small)
+        assert matcher.stats()["cache_size"] == 0
 
     def test_upper_bound_rejections_counted(self):
         old = "<P>alpha beta gamma delta.</P>"
@@ -146,34 +151,3 @@ class TestMatcherStats:
                 use_upper_bound_prefilter=False))
             a, b = tokenize_document(old), tokenize_document(new)
             assert with_bound.match(a, b) == without.match(a, b)
-
-
-class TestCacheBounding:
-    def test_cache_stays_within_bound(self):
-        options = HtmlDiffOptions(matcher_cache_size=8)
-        matcher = TokenMatcher(options)
-        gen = PageGenerator(seed=5)
-        old = gen.page(paragraphs=10, links=6)
-        new = MutationMix.typical(seed=5).apply(old)
-        html_diff(old, new, options=options, matcher=matcher)
-        assert len(matcher._cache) <= 8
-        assert len(matcher._bags) <= 8
-
-    def test_eviction_counter_increments(self):
-        options = HtmlDiffOptions(matcher_cache_size=2,
-                                  use_length_prefilter=False,
-                                  use_upper_bound_prefilter=False)
-        matcher = TokenMatcher(options)
-        docs = [f"<P>word{i} common tail here.</P>" for i in range(4)]
-        for i in range(len(docs) - 1):
-            html_diff(docs[i], docs[i + 1], options=options, matcher=matcher)
-        assert matcher.cache_evictions > 0
-        assert matcher.stats()["cache_evictions"] == matcher.cache_evictions
-
-    def test_zero_means_unbounded(self):
-        options = HtmlDiffOptions(matcher_cache_size=0)
-        matcher = TokenMatcher(options)
-        old = PageGenerator(seed=2).page(paragraphs=8, links=5)
-        new = MutationMix.typical(seed=2).apply(old)
-        html_diff(old, new, options=options, matcher=matcher)
-        assert matcher.cache_evictions == 0

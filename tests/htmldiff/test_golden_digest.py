@@ -6,7 +6,9 @@ keys and lengths are represented) would slip past them.  These digests
 pin the rendered pages, and the statistics behind them, directly:
 every operator in ``MUTATORS`` x three seeds x 10/60/120-paragraph
 pages, every presentation mode, ``<PRE>``-heavy and inline-markup-heavy
-pages, and the coarse line-diff fallback.
+pages, the coarse line-diff fallback, and the worst case: two unrelated
+pages of the same size (60 and 120 paragraphs), where almost every
+sentence pair is weighed.
 
 A digest changes only when some page renders differently.  If that is
 intended, regenerate the table with::
@@ -43,6 +45,8 @@ GOLDEN = {
         "f74770c4226eb33f01750c0faac64ab5e3b53923285336fbdf079f4d305ff34d",
     "coarse-line-diff":
         "e458a6d6400133bbd83a091e3e5cbecda7c970984419ddb1644ac9f82a5473f1",
+    "unrelated":
+        "e904b5f0306e26d0acbc90c260cea19b8e5527011cad62fb3633e66fc2e8dd06",
 }
 
 
@@ -104,6 +108,15 @@ def inline_heavy_page(seed, paragraphs):
                 words[index] += " &amp;"
         out.append("<P>" + " ".join(words) + "</P>")
     return "\n".join(out)
+
+
+def unrelated_pairs():
+    """Two pages that share nothing but their generator, 60 and 120
+    paragraphs each."""
+    for size in (60, 120):
+        old = PageGenerator(seed=1).page(paragraphs=size)
+        new = PageGenerator(seed=2).page(paragraphs=size)
+        yield f"unrelated/{size}", old, new
 
 
 def retag(html, rng):
@@ -173,6 +186,8 @@ def compute(group):
     if group == "inline-heavy":
         return digest(pairs(inline_heavy_page, sizes=(10, 60), extra=retag),
                       HtmlDiffOptions())
+    if group == "unrelated":
+        return digest(unrelated_pairs(), HtmlDiffOptions())
     if group == "coarse-line-diff":
         return digest(pairs(plain_page, sizes=(10,)), HtmlDiffOptions(),
                       budget=HtmlBudget(max_work=100))
