@@ -20,107 +20,82 @@ from ...html.entities import decode_entities
 from ...html.lexer import Node, Tag, Text, tokenize_html
 from ...html.model import (
     PRESERVED_WHITESPACE_TAGS,
+    SENTENCE_BREAKING_TAGS,
     is_content_defining,
-    is_sentence_breaking,
 )
 from ...html.repair import repair_nodes
-from .tokens import BreakToken, InlineMarkup, SentenceItem, SentenceToken
+from .tokens import BreakToken, InlineMarkup, SentenceToken
 
 __all__ = ["tokenize_document", "tokens_from_nodes"]
 
-# Sentence-final punctuation followed by whitespace ends a sentence.
-_SENTENCE_END_RE = re.compile(r"((?<=[.!?])[\"')\]]*)(\s+)")
-
-
-class _Builder:
-    """Accumulates sentence items and flushes completed tokens."""
-
-    def __init__(self) -> None:
-        self.tokens: List = []
-        self._items: List[SentenceItem] = []
-        self._preformatted = False
-
-    def flush(self) -> None:
-        if self._items:
-            self.tokens.append(
-                SentenceToken(items=tuple(self._items),
-                              preformatted=self._preformatted)
-            )
-            self._items = []
-
-    def add_markup(self, tag: Tag) -> None:
-        self._items.append(
-            InlineMarkup(
-                normalized=tag.normalized,
-                raw=tag.raw or tag.normalized,
-                content_defining=is_content_defining(tag),
-            )
-        )
-
-    def add_break(self, tag: Tag) -> None:
-        self.flush()
-        self.tokens.append(BreakToken(tag=tag, normalized=tag.normalized))
-
-    def enter_preformatted(self) -> None:
-        self.flush()
-        self._preformatted = True
-
-    def leave_preformatted(self) -> None:
-        self.flush()
-        self._preformatted = False
-
-    def add_text(self, data: str) -> None:
-        if self._preformatted:
-            self._add_preformatted_text(data)
-        else:
-            self._add_flowing_text(data)
-
-    def _add_preformatted_text(self, data: str) -> None:
-        lines = decode_entities(data).split("\n")
-        for index, line in enumerate(lines):
-            if index > 0:
-                self.flush()  # each PRE line is its own sentence
-            if line.strip():
-                self._items.append(line)
-
-    def _add_flowing_text(self, data: str) -> None:
-        decoded = decode_entities(data)
-        # Split while keeping track of which gaps end a sentence.
-        pos = 0
-        for match in _SENTENCE_END_RE.finditer(decoded):
-            # str.split() splits on exactly what ``\s`` matches.
-            self._items.extend(decoded[pos:match.end(1)].split())
-            self.flush()
-            pos = match.end()
-        self._items.extend(decoded[pos:].split())
+# Sentence-final punctuation, then any closing quotes or brackets, then
+# whitespace, ends a sentence: the words before ``end(1)`` close it and
+# the next sentence starts at ``end()``.  The pattern starts with a
+# literal class (not a lookbehind) so the regex engine can skip ahead
+# to candidate positions.
+_SENTENCE_END_RE = re.compile(r"[.!?]([\"')\]]*)(\s+)")
 
 
 def tokens_from_nodes(nodes: List[Node]) -> List:
-    """Token sequence from an (already repaired) node stream."""
-    builder = _Builder()
+    """Token sequence from an (already repaired) node stream.
+
+    Comments and declarations are invisible to comparison.  Inside
+    ``<PRE>`` (and the other whitespace-preserving tags) each line is
+    its own sentence.
+    """
+    tokens: List = []
+    append = tokens.append
+    items: List = []  # the open sentence's words and inline markups
+    preformatted = False
     pre_depth = 0
     for node in nodes:
-        if isinstance(node, Tag):
-            if node.name in PRESERVED_WHITESPACE_TAGS:
-                if node.closing:
-                    pre_depth = max(0, pre_depth - 1)
-                    builder.add_break(node)
-                    if pre_depth == 0:
-                        builder.leave_preformatted()
+        cls = node.__class__
+        if cls is Tag:
+            name = node.name
+            preserving = name in PRESERVED_WHITESPACE_TAGS
+            if preserving or name in SENTENCE_BREAKING_TAGS:
+                if items:
+                    append(SentenceToken(tuple(items), preformatted))
+                    items = []
+                append(BreakToken(node, node.normalized))
+                if not preserving:
                     continue
-                builder.add_break(node)
-                pre_depth += 1
-                builder.enter_preformatted()
-                continue
-            if is_sentence_breaking(node):
-                builder.add_break(node)
+                if not node.closing:
+                    pre_depth += 1
+                    preformatted = True
+                elif pre_depth <= 1:
+                    pre_depth = 0
+                    preformatted = False
+                else:
+                    pre_depth -= 1
             else:
-                builder.add_markup(node)
-        elif isinstance(node, Text):
-            builder.add_text(node.data)
-        # Comments and declarations are invisible to comparison.
-    builder.flush()
-    return builder.tokens
+                normalized = node.normalized
+                items.append(InlineMarkup(normalized, node.raw or normalized,
+                                          is_content_defining(node)))
+        elif cls is Text:
+            data = node.data
+            if "&" in data:
+                data = decode_entities(data)
+            if preformatted:
+                for index, line in enumerate(data.split("\n")):
+                    if index and items:  # each PRE line is its own sentence
+                        append(SentenceToken(tuple(items), True))
+                        items = []
+                    if line.strip():
+                        items.append(line)
+                continue
+            pos = 0
+            for match in _SENTENCE_END_RE.finditer(data):
+                # str.split() splits on exactly what ``\s`` matches.
+                items.extend(data[pos:match.end(1)].split())
+                if items:
+                    append(SentenceToken(tuple(items), False))
+                    items = []
+                pos = match.end()
+            items.extend(data[pos:].split())
+    if items:
+        append(SentenceToken(tuple(items), preformatted))
+    return tokens
 
 
 def tokenize_document(source: str, budget=None) -> List:

@@ -14,21 +14,23 @@ the cyclic garbage collector, and a page's worth of diffs holds
 hundreds of thousands of words.  A sentence's ``key`` and ``length``
 are fixed when it is built, because the matcher and the renderer read
 them for every pair they look at.
+
+Tokens are plain slotted records (:class:`repro.html.lexer.Record`),
+immutable by convention: a page builds hundreds of them per visit, and
+a frozen dataclass's ``__init__`` costs several times a plain one's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Tuple, Union
 
-from ...html.lexer import Tag
+from ...html.lexer import Record, Tag
 
 __all__ = ["InlineMarkup", "SentenceItem", "SentenceToken", "BreakToken",
            "Token"]
 
 
-@dataclass(frozen=True)
-class InlineMarkup:
+class InlineMarkup(Record):
     """A non-sentence-breaking markup inside a sentence.
 
     ``normalized`` is the comparison key (case/order/whitespace
@@ -37,9 +39,13 @@ class InlineMarkup:
     change to it is highlighted.
     """
 
-    normalized: str
-    raw: str
-    content_defining: bool
+    __slots__ = _fields = ("normalized", "raw", "content_defining")
+
+    def __init__(self, normalized: str, raw: str,
+                 content_defining: bool) -> None:
+        self.normalized = normalized
+        self.raw = raw
+        self.content_defining = content_defining
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, InlineMarkup):
@@ -57,25 +63,27 @@ class InlineMarkup:
 SentenceItem = Union[str, InlineMarkup]
 
 
-@dataclass(frozen=True)
-class SentenceToken:
-    """A sentence: the fuzzy-matchable unit of comparison."""
+class SentenceToken(Record):
+    """A sentence: the fuzzy-matchable unit of comparison.
 
-    items: Tuple[SentenceItem, ...]
-    #: True when the sentence came from inside <PRE>: whitespace is
-    #: content there and rendering must not re-flow it.
-    preformatted: bool = False
-    #: Hashable identity used for weight memoization: each word, and
-    #: each markup's normalized form.  A sentence of words only is its
-    #: own key.
-    key: Tuple[str, ...] = field(init=False, compare=False, repr=False)
-    #: Paper: "the number of words and 'content-defining' markups such
-    #: as <IMG> or <A> in a sentence.  Markups such as <B> or <I> are
-    #: not counted."
-    length: int = field(init=False, compare=False, repr=False)
+    ``preformatted`` is True when the sentence came from inside <PRE>:
+    whitespace is content there and rendering must not re-flow it.
+    ``key`` and ``length`` are derived once, at construction, and take
+    no part in equality or repr.
+    """
 
-    def __post_init__(self) -> None:
-        items = self.items
+    __slots__ = ("items", "preformatted", "key", "length")
+    _fields = __slots__[:2]
+
+    def __init__(self, items: Tuple[SentenceItem, ...],
+                 preformatted: bool = False) -> None:
+        self.items = items
+        self.preformatted = preformatted
+        # ``key``: hashable identity used for weight memoization -- each
+        # word, and each markup's normalized form.  A sentence of words
+        # only is its own key.  ``length``, per the paper: "the number
+        # of words and 'content-defining' markups such as <IMG> or <A>
+        # in a sentence.  Markups such as <B> or <I> are not counted."
         key = items
         length = 0
         for item in items:
@@ -87,8 +95,8 @@ class SentenceToken:
         if key is None:
             key = tuple(item if type(item) is str else item.normalized
                         for item in items)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "length", length)
+        self.key = key
+        self.length = length
 
     @property
     def words(self) -> Tuple[str, ...]:
@@ -98,13 +106,23 @@ class SentenceToken:
         return " ".join(str(item) for item in self.items)
 
 
-@dataclass(frozen=True)
-class BreakToken:
+class BreakToken(Record):
     """A sentence-breaking markup: matches only identical break markups
     (modulo whitespace, case, and attribute reordering), weight 1."""
 
-    tag: Tag = field(compare=False)
-    normalized: str = ""
+    __slots__ = _fields = ("tag", "normalized")
+
+    def __init__(self, tag: Tag, normalized: str = "") -> None:
+        self.tag = tag
+        self.normalized = normalized
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is BreakToken:
+            return self.normalized == other.normalized
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.normalized,))
 
     @property
     def key(self) -> Tuple:

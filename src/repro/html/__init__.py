@@ -1,10 +1,11 @@
-"""HTML substrate: lexing, tag model, sentence segmentation, repair.
+"""HTML substrate: lexing, tag model, entities, repair.
 
 HtmlDiff's document model (paper Section 5.1) is built from these
 pieces: the lexer produces a flat node stream, the model classifies
-markups as sentence-breaking / content-defining, the sentence splitter
-carves text runs into the comparison units, and the repairer balances
-real-world sloppy markup before the merged page is generated.
+markups as sentence-breaking / content-defining, and the repairer
+balances real-world sloppy markup before the merged page is generated.
+HtmlDiff's tokenizer (:mod:`repro.core.htmldiff.tokenizer`) carves text
+runs into sentences, the comparison units.
 """
 
 from .entities import decode_entities, encode_entities
@@ -19,7 +20,6 @@ from .model import (
     is_sentence_breaking,
 )
 from .repair import RepairStats, repair_nodes
-from .sentences import split_preformatted, split_sentences, split_words
 from .serializer import serialize_nodes
 
 __all__ = [
@@ -40,8 +40,5 @@ __all__ = [
     "is_sentence_breaking",
     "RepairStats",
     "repair_nodes",
-    "split_preformatted",
-    "split_sentences",
-    "split_words",
     "serialize_nodes",
 ]

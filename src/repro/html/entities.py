@@ -24,22 +24,30 @@ NAMED_ENTITIES: Dict[str, str] = {
     "nbsp": " ",
     "copy": "©",
     "reg": "®",
-    "agrave": "à",
-    "aacute": "á",
-    "eacute": "é",
-    "egrave": "è",
-    "iacute": "í",
-    "oacute": "ó",
-    "uacute": "ú",
-    "ntilde": "ñ",
-    "ouml": "ö",
-    "uuml": "ü",
-    "auml": "ä",
+    "agrave": "à", "Agrave": "À",
+    "aacute": "á", "Aacute": "Á",
+    "eacute": "é", "Eacute": "É",
+    "egrave": "è", "Egrave": "È",
+    "iacute": "í", "Iacute": "Í",
+    "oacute": "ó", "Oacute": "Ó",
+    "uacute": "ú", "Uacute": "Ú",
+    "ntilde": "ñ", "Ntilde": "Ñ",
+    "ouml": "ö", "Ouml": "Ö",
+    "uuml": "ü", "Uuml": "Ü",
+    "auml": "ä", "Auml": "Ä",
     "szlig": "ß",
-    "ccedil": "ç",
+    "ccedil": "ç", "Ccedil": "Ç",
     "middot": "·",
     "sect": "§",
     "para": "¶",
+}
+
+#: Lowercased names that have no case-distinct twin, so ``&AMP;`` still
+#: decodes but ``&EACUTE;`` (is it É or é?) stays verbatim.
+_FOLDED = [name.lower() for name in NAMED_ENTITIES]
+_CASELESS: Dict[str, str] = {
+    name.lower(): char for name, char in NAMED_ENTITIES.items()
+    if _FOLDED.count(name.lower()) == 1
 }
 
 _ENTITY_RE = re.compile(r"&(#(?:\d+|[xX][0-9a-fA-F]+)|[a-zA-Z][a-zA-Z0-9]*);?")
@@ -48,8 +56,10 @@ _ENTITY_RE = re.compile(r"&(#(?:\d+|[xX][0-9a-fA-F]+)|[a-zA-Z][a-zA-Z0-9]*);?")
 def decode_entities(text: str) -> str:
     """Replace entity references with their characters.
 
-    Unknown named entities are left verbatim (browsers of the era did
-    the same), as are malformed numeric references.
+    Names match exactly first (``&Eacute;`` is É, ``&eacute;`` é); a
+    name with no case-distinct twin also matches in any case.  Unknown
+    named entities are left verbatim (browsers of the era did the
+    same), as are malformed numeric references.
     """
 
     def _replace(match: re.Match) -> str:
@@ -63,7 +73,9 @@ def decode_entities(text: str) -> str:
                 return chr(code)
             except (ValueError, OverflowError):
                 return match.group(0)
-        replacement = NAMED_ENTITIES.get(body.lower())
+        replacement = NAMED_ENTITIES.get(body)
+        if replacement is None:
+            replacement = _CASELESS.get(body.lower())
         return replacement if replacement is not None else match.group(0)
 
     return _ENTITY_RE.sub(_replace, text)

@@ -9,14 +9,13 @@ tree.  Downstream, :mod:`repro.core.htmldiff.tokenizer` groups these
 nodes into sentences and sentence-breaking markups.
 
 Each node keeps its raw source slice so serialization can reproduce the
-original byte-for-byte; normalized forms (used for comparison) are
-computed on demand.
+original byte-for-byte; a tag's normalized form (used for comparison) is
+computed once, when the tag is built.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple, Union
 
 __all__ = ["Tag", "Text", "Comment", "Declaration", "Node", "tokenize_html",
@@ -26,33 +25,66 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9._\-]*")
 _WS_RE = re.compile(r"\s+")
 
 
-@dataclass(frozen=True)
-class Tag:
+class Record:
+    """A plain slotted record, immutable by convention.
+
+    Equality (same type only), hash and repr cover ``_fields`` in
+    order, as a frozen dataclass's would; a slot left out of
+    ``_fields`` (a value derived at construction) takes no part.
+    Nothing may assign to a record after construction.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Tag(Record):
     """A start or end tag, with parsed attributes.
 
     ``attrs`` preserves source order and case; ``name`` is stored
     uppercase (the lexer's canonical case, per the paper).  ``raw`` is
-    the exact source text including angle brackets.
+    the exact source text including angle brackets.  ``normalized`` is
+    the comparison key, built once: case-folded, whitespace-collapsed,
+    attributes sorted -- per the paper, markups "must be identical
+    (modulo whitespace, case, and reordering of (variable,value)
+    pairs)".
     """
 
-    name: str
-    attrs: Tuple[Tuple[str, Optional[str]], ...] = ()
-    closing: bool = False
-    raw: str = ""
+    __slots__ = ("name", "attrs", "closing", "raw", "normalized")
+    _fields = __slots__[:4]
 
-    @property
-    def normalized(self) -> str:
-        """Comparison key: case-folded, whitespace-collapsed, attributes
-        sorted — per the paper, markups "must be identical (modulo
-        whitespace, case, and reordering of (variable,value) pairs)".
-        """
-        parts = [("/" if self.closing else "") + self.name]
-        for key, value in sorted(self.attrs, key=lambda kv: (kv[0].upper(), kv[1] or "")):
-            if value is None:
-                parts.append(key.upper())
-            else:
-                parts.append(f"{key.upper()}={value.upper()}")
-        return "<" + " ".join(parts) + ">"
+    def __init__(self, name: str,
+                 attrs: Tuple[Tuple[str, Optional[str]], ...] = (),
+                 closing: bool = False, raw: str = "") -> None:
+        self.name = name
+        self.attrs = attrs
+        self.closing = closing
+        self.raw = raw
+        if not attrs:
+            self.normalized = ("</" if closing else "<") + name + ">"
+            return
+        parts = [("/" if closing else "") + name]
+        for key, has_value, value in sorted(
+                (key.upper(), value is not None, (value or "").upper())
+                for key, value in attrs):
+            parts.append(f"{key}={value}" if has_value else key)
+        self.normalized = "<" + " ".join(parts) + ">"
 
     def attr(self, name: str) -> Optional[str]:
         """First value of an attribute, case-insensitively (None if absent
@@ -71,32 +103,38 @@ class Tag:
         return self.raw or self.normalized
 
 
-@dataclass(frozen=True)
-class Text:
+class Text(Record):
     """A run of character data between tags (entities not yet decoded)."""
 
-    data: str
+    __slots__ = _fields = ("data",)
+
+    def __init__(self, data: str) -> None:
+        self.data = data
 
     def __str__(self) -> str:
         return self.data
 
 
-@dataclass(frozen=True)
-class Comment:
+class Comment(Record):
     """``<!-- ... -->`` — ignored by comparison, preserved by output."""
 
-    data: str
-    raw: str = ""
+    __slots__ = _fields = ("data", "raw")
+
+    def __init__(self, data: str, raw: str = "") -> None:
+        self.data = data
+        self.raw = raw
 
     def __str__(self) -> str:
         return self.raw or f"<!--{self.data}-->"
 
 
-@dataclass(frozen=True)
-class Declaration:
+class Declaration(Record):
     """``<!DOCTYPE ...>`` and friends."""
 
-    raw: str
+    __slots__ = _fields = ("raw",)
+
+    def __init__(self, raw: str) -> None:
+        self.raw = raw
 
     def __str__(self) -> str:
         return self.raw
@@ -178,54 +216,52 @@ def tokenize_html(source: str, budget=None) -> List[Node]:
 
 def iter_nodes(source: str, budget=None) -> Iterator[Node]:
     """Streaming form of :func:`tokenize_html`."""
-
-    def emit(node: Node) -> Node:
-        if budget is not None:
-            budget.charge_token()
-        return node
-
+    find = source.find
+    startswith = source.startswith
     pos = 0
     length = len(source)
     while pos < length:
-        lt = source.find("<", pos)
+        lt = find("<", pos)
         if lt == -1:
-            yield emit(Text(source[pos:]))
-            return
-        if lt > pos:
-            yield emit(Text(source[pos:lt]))
-        if source.startswith("<!--", lt):
-            end = source.find("-->", lt + 4)
+            node = Text(source[pos:])
+            pos = length
+        elif lt > pos:
+            node = Text(source[pos:lt])
+            pos = lt
+        elif startswith("<!--", lt):
+            end = find("-->", lt + 4)
             if end == -1:
-                yield emit(Comment(source[lt + 4:], raw=source[lt:]))
-                return
-            yield emit(Comment(source[lt + 4:end], raw=source[lt:end + 3]))
-            pos = end + 3
-            continue
-        if source.startswith("<!", lt):
-            end = source.find(">", lt)
+                node = Comment(source[lt + 4:], source[lt:])
+                pos = length
+            else:
+                node = Comment(source[lt + 4:end], source[lt:end + 3])
+                pos = end + 3
+        else:
+            end = find(">", lt)
             if end == -1:
-                yield emit(Text(source[lt:]))
-                return
-            yield emit(Declaration(source[lt:end + 1]))
-            pos = end + 1
-            continue
-        end = source.find(">", lt)
-        if end == -1:
-            # Unterminated tag: emit as literal text, as browsers did.
-            yield emit(Text(source[lt:]))
-            return
-        inner = source[lt + 1:end]
-        closing = inner.startswith("/")
-        if closing:
-            inner = inner[1:]
-        name_match = _NAME_RE.match(inner.strip())
-        if not name_match:
-            # "<>" or "< 3" — not markup; literal text.
-            yield emit(Text(source[lt:end + 1]))
-            pos = end + 1
-            continue
-        name = name_match.group(0).upper()
-        attr_body = inner.strip()[name_match.end():]
-        attrs = _parse_attrs(attr_body, budget=budget) if not closing else ()
-        yield emit(Tag(name=name, attrs=attrs, closing=closing, raw=source[lt:end + 1]))
-        pos = end + 1
+                # Unterminated tag or declaration: literal text, as
+                # browsers did.
+                node = Text(source[lt:])
+                pos = length
+            elif startswith("<!", lt):
+                node = Declaration(source[lt:end + 1])
+                pos = end + 1
+            else:
+                closing = startswith("/", lt + 1)
+                body = source[lt + 1 + closing:end].strip()
+                name_match = _NAME_RE.match(body)
+                if name_match is None:
+                    # "<>" or "< 3" -- not markup; literal text.
+                    node = Text(source[lt:end + 1])
+                else:
+                    name_end = name_match.end()
+                    if closing or name_end == len(body):
+                        attrs = ()
+                    else:
+                        attrs = _parse_attrs(body[name_end:], budget=budget)
+                    node = Tag(body[:name_end].upper(), attrs, closing,
+                               source[lt:end + 1])
+                pos = end + 1
+        if budget is not None:
+            budget.charge_token()
+        yield node

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from .lexer import Node, Tag
-from .model import AUTO_CLOSE, is_empty_tag
+from .model import AUTO_CLOSE, EMPTY_TAGS
 
 __all__ = ["repair_nodes", "RepairStats"]
 
@@ -51,7 +51,7 @@ class RepairStats:
 
 
 def _synthetic_close(name: str) -> Tag:
-    return Tag(name=name, closing=True, raw=f"</{name}>")
+    return Tag(name, (), True, f"</{name}>")
 
 
 def repair_nodes(nodes: Sequence[Node], stats: RepairStats = None,
@@ -85,13 +85,13 @@ def repair_nodes(nodes: Sequence[Node], stats: RepairStats = None,
                     stack.pop()
                     stats.implicit_closes += 1
             out.append(node)
-            if not is_empty_tag(name):
+            if name not in EMPTY_TAGS:
                 stack.append(name)
                 if budget is not None:
                     budget.check_depth(len(stack))
             continue
         # End tag.
-        if is_empty_tag(name) or name not in stack:
+        if name in EMPTY_TAGS or name not in stack:
             stats.stray_end_tags_dropped += 1
             continue
         while stack[-1] != name:

@@ -1,5 +1,7 @@
 """Tests for entity decoding/encoding."""
 
+import html
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +35,20 @@ class TestDecode:
 
     def test_case_insensitive_names(self):
         assert decode_entities("&AMP;") == "&"
+
+    def test_capital_accents_keep_their_case(self):
+        # An É -> é edit must be visible to the comparison.
+        for name in ("Agrave", "Aacute", "Eacute", "Egrave", "Iacute",
+                     "Oacute", "Uacute", "Ntilde", "Ouml", "Uuml", "Auml",
+                     "Ccedil"):
+            upper, lower = f"&{name};", f"&{name.lower()};"
+            assert decode_entities(upper) == html.unescape(upper)
+            assert decode_entities(upper) != decode_entities(lower)
+        assert decode_entities("caf&Eacute;") == "cafÉ"
+
+    def test_ambiguous_case_variant_left_verbatim(self):
+        # &EACUTE; could mean either twin; HTML5 has no such name either.
+        assert decode_entities("&EACUTE;") == "&EACUTE;"
 
 
 class TestEncode:

@@ -91,6 +91,17 @@ class TestNormalization:
     def test_closing_marker_in_normal_form(self):
         assert tokenize_html("</p>")[0].normalized == "</P>"
 
+    def test_repeated_attribute_sorted_case_insensitively(self):
+        # Sorting by the raw value put "Y" before "x" but "X" before "y".
+        a = tokenize_html("<img alt=x alt=Y>")[0]
+        b = tokenize_html("<IMG ALT=X ALT=y>")[0]
+        assert a.normalized == b.normalized == "<IMG ALT=X ALT=Y>"
+
+    def test_valueless_and_empty_attribute_order_insensitive(self):
+        a = tokenize_html('<dl compact compact="">')[0]
+        b = tokenize_html('<DL COMPACT="" COMPACT>')[0]
+        assert a.normalized == b.normalized == "<DL COMPACT COMPACT=>"
+
 
 class TestRobustness:
     def test_unterminated_tag_is_text(self):
