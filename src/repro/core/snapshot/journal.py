@@ -61,6 +61,7 @@ from typing import Iterable, List, Tuple
 
 from ... import framedlog
 from ...framedlog import JournalError
+from ...rcs.rcsfile import quote_at_string, read_at_string
 
 __all__ = ["JournalRecord", "JournalError", "JournalScan", "TxnIntent",
            "SeenRecord", "TxnCommit", "TxnAbort", "ResolvedJournal",
@@ -135,18 +136,16 @@ class JournalScan(framedlog.LogScan):
         return [e for e in self.entries if isinstance(e, JournalRecord)]
 
 
-def _quote(text: str) -> str:
-    return "@" + text.replace("@", "@@") + "@"
-
-
 def _serialize(record: JournalRecord) -> str:
     header = "rev\t%s\t%s\t%d\t%s" % (
-        _quote(record.url), record.revision, record.date,
-        _quote(record.author),
+        quote_at_string(record.url), record.revision, record.date,
+        quote_at_string(record.author),
     )
     if record.txn:
         header += "\ttxn=%s" % record.txn
-    return "\n".join([header, _quote(record.log), _quote(record.text)]) + "\n"
+    return "\n".join(
+        [header, quote_at_string(record.log), quote_at_string(record.text)]
+    ) + "\n"
 
 
 def _serialize_entry(entry: object) -> str:
@@ -155,14 +154,15 @@ def _serialize_entry(entry: object) -> str:
     if isinstance(entry, TxnIntent):
         return (
             "txn\t%s\t%s\t%s\t%d\t%s\n%s\n" % (
-                entry.txn, entry.op, _quote(entry.url), entry.date,
-                _quote(entry.author), _quote("\n".join(entry.users)),
+                entry.txn, entry.op, quote_at_string(entry.url), entry.date,
+                quote_at_string(entry.author),
+                quote_at_string("\n".join(entry.users)),
             )
         )
     if isinstance(entry, SeenRecord):
         return "seen\t%s\t%s\t%s\t%s\t%d\n" % (
-            entry.txn, _quote(entry.user), _quote(entry.url),
-            entry.revision, entry.when,
+            entry.txn, quote_at_string(entry.user),
+            quote_at_string(entry.url), entry.revision, entry.when,
         )
     if isinstance(entry, TxnCommit):
         return "commit\t%s\n" % entry.txn
@@ -206,21 +206,9 @@ class _Scanner:
         self.pos += len(literal)
 
     def read_string(self) -> str:
-        if self.pos >= len(self.text) or self.text[self.pos] != "@":
-            raise JournalError(f"expected @string at offset {self.pos}")
-        self.pos += 1
-        out: List[str] = []
-        while True:
-            next_at = self.text.find("@", self.pos)
-            if next_at == -1:
-                raise JournalError("unterminated @string")
-            out.append(self.text[self.pos:next_at])
-            if self.text[next_at + 1:next_at + 2] == "@":
-                out.append("@")
-                self.pos = next_at + 2
-                continue
-            self.pos = next_at + 1
-            return "".join(out)
+        """Read an @string starting right here (no leading whitespace)."""
+        value, self.pos = read_at_string(self.text, self.pos, JournalError)
+        return value
 
     def read_field(self) -> str:
         """Read up to the next tab or newline (plain metadata field)."""

@@ -31,7 +31,7 @@ from .report import (
     render_report_text,
 )
 from .estimator import ChangeRateEstimator, UrlEstimate
-from .runner import CrawlCheckpoint, RunCheckpoint, RunResult, W3Newer
+from .runner import CrawlCheckpoint, RunResult, W3Newer
 from .scheduler import (
     CrawlSchedule,
     PolicyDecision,
@@ -63,7 +63,6 @@ __all__ = [
     "ScheduledCheck",
     "SchedulePolicy",
     "build_schedule",
-    "RunCheckpoint",
     "CrawlCheckpoint",
     "CheckOutcome",
     "CheckSource",

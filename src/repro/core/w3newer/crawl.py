@@ -1,9 +1,10 @@
 """Deterministic concurrent crawl execution.
 
-The serial runner checks one URL at a time; this module runs the
-scheduled check set as cooperative worker tasks on the snapshot
-facility's deterministic :class:`SimScheduler`, with per-host
-politeness enforced by a virtual-time **governor**:
+Every w3newer run drains its check set here: with one worker, one URL
+at a time in order (the paper's walk); with more, as cooperative
+worker tasks on the snapshot facility's deterministic
+:class:`SimScheduler`.  Per-host politeness is enforced by a
+virtual-time **governor**:
 
 * :class:`HostGovernor` — the politeness and throughput model.  The
   sim clock is frozen during a run (the simulated network does not
@@ -208,7 +209,7 @@ class HostGovernor:
     # Checkpoint support: plain-data snapshot / restore.
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """Plain-data state for a RunCheckpoint."""
+        """Plain-data state for a CrawlCheckpoint."""
         return {
             "free": list(self._free),
             "end": self._end,
@@ -336,11 +337,20 @@ class CrawlExecutor:
             if sim is not None:
                 sim.checkpoint("crawl.claim")
             try:
-                outcome = self.checker.check(task.url, force=task.force)
+                # One span per check: the state/source pair names the
+                # ladder rung that decided it (threshold skip, proxy/
+                # status-cache verdict, HEAD, checksum fallback,
+                # degraded STALE).
+                with self.obs.span("w3newer.check", url=task.url) as span:
+                    outcome = self.checker.check(task.url, force=task.force)
+                    span.set(
+                        state=outcome.state.name.lower(),
+                        source=outcome.source.value,
+                        http_requests=outcome.http_requests,
+                    )
             except RunAborted as exc:
                 # The aborting URL's outcome was never recorded: it
-                # goes back on the queue and is retried first on
-                # resume, exactly like the serial checkpoint.
+                # goes back on the queue and is retried first on resume.
                 self._queue.appendleft(task)
                 self._stop_reason = str(exc)
                 return

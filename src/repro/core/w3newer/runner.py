@@ -6,11 +6,14 @@ have changed."  :class:`W3Newer` owns the per-user state (hotlist,
 history, status cache, flags) and produces a :class:`RunResult` per
 invocation; :meth:`W3Newer.schedule` hangs it off the simulation cron.
 
+Every run goes through one pipeline: the paper's walk of the whole
+hotlist is the case with no budget, the static policy and one worker.
+
 Aborting is no longer losing: when the systemic-failure detector fires,
-the position in the hotlist (and every outcome already computed) is
-parked in a :class:`RunCheckpoint`, and the next invocation resumes
-mid-list — the paper's "abort and try again later" without repeating
-the work already done.
+the unchecked URLs (and every outcome already computed) are parked in
+a :class:`CrawlCheckpoint`, and the next invocation resumes there — the
+paper's "abort and try again later" without repeating the work already
+done.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ from ...simclock import DAY, CronScheduler, SimClock
 from ...web.client import UserAgent
 from ...web.proxy import ProxyCache
 from ...web.robots import RobotsFile
+from ...web.url import canonical_url
 from .checker import CheckerFlags, UrlChecker
 from .crawl import CrawlExecutor, CrawlOptions, HostGovernor
-from .errors import CheckOutcome, RunAborted, SystemicFailureDetector, UrlState
+from .errors import CheckOutcome, SystemicFailureDetector, UrlState
 from .estimator import ChangeRateEstimator
 from .history import BrowserHistory
-from .hotlist import Hotlist
+from .hotlist import Hotlist, HotlistEntry
 from .localfs import LocalFiles
 from .report import ReportOptions, render_report
 from .scheduler import (
@@ -40,32 +44,14 @@ from .scheduler import (
 from .statuscache import StatusCache
 from .thresholds import ThresholdConfig
 
-__all__ = ["RunResult", "RunCheckpoint", "CrawlCheckpoint", "W3Newer"]
-
-
-@dataclass
-class RunCheckpoint:
-    """Where an aborted run stopped, so the next one can resume.
-
-    ``next_index`` is the hotlist position of the URL whose check
-    triggered the abort (it gets retried first); ``outcomes`` carries
-    everything already decided, so the resumed run's report still
-    covers the whole hotlist.  A checkpoint is only honored while the
-    hotlist has the same length — an edited hotlist restarts cleanly.
-    """
-
-    next_index: int
-    hotlist_size: int
-    started_at: int
-    outcomes: List[CheckOutcome] = field(default_factory=list)
+__all__ = ["RunResult", "CrawlCheckpoint", "W3Newer"]
 
 
 @dataclass
 class CrawlCheckpoint:
-    """Where an interrupted *concurrent* run stopped.
+    """Where an interrupted run stopped, so the next one can resume.
 
-    Unlike the serial checkpoint, position is not one hotlist index:
-    the budgeted schedule was already fixed when the run began, so the
+    The check set was already fixed when the run began, so the
     checkpoint parks the **remaining scheduled checks** verbatim (never
     re-screened against the now-mutated caches — re-screening would
     change the check set and break byte-identity with an uninterrupted
@@ -92,7 +78,8 @@ class RunResult:
     outcomes: List[CheckOutcome] = field(default_factory=list)
     aborted: str = ""
     report_html: str = ""
-    #: Hotlist index this run resumed from (None = started fresh).
+    #: Outcomes carried over from the checkpoint this run resumed
+    #: from (None = started fresh).
     resumed_from: Optional[int] = None
 
     @property
@@ -175,12 +162,10 @@ class W3Newer:
         self.report_options = report_options or ReportOptions()
         self.abort_after_failures = abort_after_failures
         self.runs: List[RunResult] = []
-        #: Set when a run aborts; the next run resumes from it.  Holds
-        #: a :class:`RunCheckpoint` (serial path) or a
-        #: :class:`CrawlCheckpoint` (concurrent path).
-        self.checkpoint = None
-        #: None = the paper's serial walk; a CrawlOptions = the
-        #: budgeted concurrent pipeline.
+        #: Set when a run aborts; the next run resumes from it.
+        self.checkpoint: Optional[CrawlCheckpoint] = None
+        #: The pipeline's knobs.  None = the paper's walk, run as
+        #: ``CrawlOptions(workers=1)``: static policy, no budget.
         self.crawl = crawl
         if estimator is None and crawl is not None \
                 and crawl.policy is SchedulePolicy.ADAPTIVE:
@@ -191,9 +176,11 @@ class W3Newer:
         #: offending bytes for `aide quarantine list/retry/purge`.
         self.guard = guard
         self.quarantine = quarantine
+        self._walk_urls: List[str] = []
+        self._walk_checks: List[ScheduledCheck] = []
         #: The last screening pass (PolicyDecisions for ``--explain``).
         self.last_schedule: Optional[CrawlSchedule] = None
-        #: Governor/scheduling stats of the last concurrent run.
+        #: Governor/scheduling stats of the last run.
         self.last_crawl: Dict[str, object] = {}
         self.obs = obs if obs is not None else NOOP_OBS
         self._c_runs = self.obs.counter("w3newer.runs")
@@ -212,113 +199,29 @@ class W3Newer:
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
-        """Check every hotlist URL; abort early on systemic failure.
+        """One politeness-governed run over the whole hotlist.
 
-        If the previous invocation aborted, this one picks up from its
-        checkpoint instead of restarting: outcomes already computed are
-        carried over and checking continues mid-list.
-
-        With :class:`CrawlOptions` configured, the run goes through the
-        budgeted concurrent pipeline instead (see :meth:`_run_crawl`).
-        """
-        if self.crawl is not None:
-            return self._run_crawl()
-        entries = list(self.hotlist)
-        start_index = 0
-        carried: List[CheckOutcome] = []
-        resumed_from: Optional[int] = None
-        if (
-            isinstance(self.checkpoint, RunCheckpoint)
-            and self.checkpoint.hotlist_size == len(entries)
-        ):
-            start_index = self.checkpoint.next_index
-            carried = list(self.checkpoint.outcomes)
-            resumed_from = start_index
-        self.checkpoint = None
-        result = RunResult(started_at=self.clock.now,
-                           resumed_from=resumed_from)
-        result.outcomes.extend(carried)
-        checker = UrlChecker(
-            clock=self.clock,
-            agent=self.agent,
-            config=self.config,
-            history=self.history,
-            cache=self.cache,
-            proxy=self.proxy,
-            local_files=self.local_files,
-            flags=self.flags,
-            failure_detector=SystemicFailureDetector(self.abort_after_failures),
-            obs=self.obs,
-            guard=self.guard,
-            quarantine=self.quarantine,
-        )
-        self._c_runs.inc()
-        index = start_index
-        with self.obs.span(
-            "w3newer.run", urls=len(entries),
-            resumed=resumed_from is not None,
-        ) as run_span:
-            try:
-                while index < len(entries):
-                    url = entries[index].url
-                    # One span per hotlist URL: the state/source pair
-                    # names the ladder rung that decided it (threshold
-                    # skip, proxy/status-cache verdict, HEAD, checksum
-                    # fallback, degraded STALE).
-                    with self.obs.span("w3newer.check", url=url) as span:
-                        outcome = checker.check(url)
-                        span.set(
-                            state=outcome.state.name.lower(),
-                            source=outcome.source.value,
-                            http_requests=outcome.http_requests,
-                        )
-                    result.outcomes.append(outcome)
-                    self._c_checks.inc()
-                    self._c_http.inc(outcome.http_requests)
-                    self._h_check_cost.observe(outcome.http_requests)
-                    self.obs.counter(
-                        "w3newer.state." + outcome.state.name.lower()
-                    ).inc()
-                    index += 1
-            except RunAborted as exc:
-                result.aborted = str(exc)
-                self._c_aborts.inc()
-                self.obs.event("w3newer.run_aborted", reason=str(exc),
-                               next_index=index)
-                # Park the position: the aborting URL itself is retried
-                # first next time (its outcome was never recorded).
-                self.checkpoint = RunCheckpoint(
-                    next_index=index,
-                    hotlist_size=len(entries),
-                    started_at=result.started_at,
-                    outcomes=list(result.outcomes),
-                )
-            run_span.set(
-                checked=len(result.outcomes),
-                http_requests=result.http_requests,
-                aborted=bool(result.aborted),
-            )
-        self._render_into(result)
-        self.runs.append(result)
-        return result
-
-    # ------------------------------------------------------------------
-    # The concurrent pipeline
-    # ------------------------------------------------------------------
-    def _run_crawl(self) -> RunResult:
-        """One budgeted, concurrent, politeness-governed run.
-
-        Screening (:func:`build_schedule`) synthesizes every outcome
-        the checker ladder would decide without HTTP and picks the
-        fetch set under the budget; the executor drains the scheduled
-        checks on ``workers`` cooperative SimScheduler tasks while the
+        Screening (:func:`build_schedule`) runs only when it can defer
+        something — a fetch budget or the adaptive policy — and then
+        synthesizes every outcome the checker ladder would decide
+        without HTTP and picks the fetch set under the budget.
+        Otherwise the executor gets the de-duplicated hotlist in order
+        and the ladder decides every URL once: the paper's walk.  The
+        executor drains the checks on ``workers`` cooperative
+        SimScheduler tasks (one worker = no scheduler) while the
         :class:`HostGovernor` places every fetch on a virtual timeline
         under the per-host politeness limits.  Same seed, same inputs
         ⇒ byte-identical report and fetch trace.
+
+        If the previous invocation aborted, this one resumes from its
+        :class:`CrawlCheckpoint` instead of restarting.
         """
         entries = list(self.hotlist)
         opts = self.crawl
+        if opts is None:
+            opts = CrawlOptions(workers=1)
         now = self.clock.now
+        started_at = now
         resumed_from: Optional[int] = None
         outcomes: Dict[int, CheckOutcome] = {}
         governor = HostGovernor(
@@ -331,19 +234,20 @@ class W3Newer:
         )
         checkpoint = self.checkpoint
         self.checkpoint = None
+        if checkpoint is not None and checkpoint.hotlist_size != len(entries):
+            checkpoint = None  # an edited hotlist restarts cleanly
         schedule: Optional[CrawlSchedule] = None
-        if (
-            isinstance(checkpoint, CrawlCheckpoint)
-            and checkpoint.hotlist_size == len(entries)
-        ):
+        if checkpoint is not None:
             pending = list(checkpoint.pending)
             outcomes = dict(checkpoint.outcomes)
             governor.restore(checkpoint.governor_state)
             resumed_from = len(outcomes)
             started_at = checkpoint.started_at
+        elif opts.budget is None and opts.policy is SchedulePolicy.STATIC:
+            # Nothing can be deferred: screening would only repeat the
+            # ladder's work, so the ladder decides every URL.
+            pending = self._walk(entries)
         else:
-            checkpoint = None
-            started_at = now
             schedule = build_schedule(
                 entries,
                 now=now,
@@ -359,7 +263,7 @@ class W3Newer:
             )
             self.last_schedule = schedule
             pending = list(schedule.checks)
-            outcomes.update(dict(schedule.synthesized))
+            outcomes = dict(schedule.synthesized)
             for name, value in schedule.counters.items():
                 self.obs.counter("w3newer.crawl." + name).inc(value)
             for check in schedule.checks:
@@ -388,7 +292,7 @@ class W3Newer:
         self._c_runs.inc()
         result = RunResult(started_at=started_at, resumed_from=resumed_from)
         with self.obs.span(
-            "w3newer.crawl_run", urls=len(entries),
+            "w3newer.run", urls=len(entries),
             policy=opts.policy.value, workers=opts.workers,
             resumed=resumed_from is not None,
         ) as run_span:
@@ -397,7 +301,9 @@ class W3Newer:
             for task, outcome in crawl.completed:
                 outcomes[task.index] = outcome
                 for dup in task.coalesced:
-                    outcomes[dup] = replace(outcome, url=entries[dup].url)
+                    # A copy of the verdict; the fetch is counted once.
+                    outcomes[dup] = replace(outcome, url=entries[dup].url,
+                                            http_requests=0)
                 self._feed_estimator(task.url, outcome, now)
                 self._c_checks.inc()
                 self._c_http.inc(outcome.http_requests)
@@ -447,6 +353,31 @@ class W3Newer:
         self._render_into(result)
         self.runs.append(result)
         return result
+
+    def _walk(self, entries: List[HotlistEntry]) -> List[ScheduledCheck]:
+        """The whole hotlist in order, one check per distinct page.
+
+        A page bookmarked twice is checked once; the later entries get
+        a copy of its outcome (``coalesced``), as screening would give
+        them.  The checks are immutable, so runs share the list until
+        the hotlist's URLs change.
+        """
+        urls = [entry.url for entry in entries]
+        if urls == self._walk_urls:
+            return self._walk_checks
+        owners: Dict[str, int] = {}
+        coalesced: Dict[int, List[int]] = {}
+        for index, url in enumerate(urls):
+            owner = owners.setdefault(canonical_url(url), index)
+            dups = coalesced.setdefault(owner, [])
+            if owner != index:
+                dups.append(index)
+        self._walk_urls = urls
+        self._walk_checks = [
+            ScheduledCheck(index=index, url=urls[index], coalesced=tuple(dups))
+            for index, dups in coalesced.items()
+        ]
+        return self._walk_checks
 
     def _feed_estimator(self, url: str, outcome: CheckOutcome,
                         now: int) -> None:
@@ -512,7 +443,11 @@ class W3Newer:
         return info
 
     def crawl_stats(self) -> Dict[str, object]:
-        """The ``crawl`` block for ``store.stats()`` / CGI stats."""
+        """The ``crawl`` block for ``store.stats()`` / CGI stats.
+
+        A tracker built without :class:`CrawlOptions` runs the paper's
+        walk and reports no crawl block.
+        """
         if self.crawl is None:
             return {"attached": False}
         out: Dict[str, object] = {

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ...simclock import NEVER
 from ...web.proxy import ProxyCache
@@ -66,9 +66,9 @@ class SchedulePolicy(Enum):
             )
 
 
-@dataclass(frozen=True)
-class ScheduledCheck:
-    """One unit of work the crawl executor will run.
+class ScheduledCheck(NamedTuple):
+    """One unit of work the crawl executor will run (immutable; a
+    NamedTuple because every run builds one per hotlist entry).
 
     ``expects_http`` is the screening *prediction* used for budgeting;
     the governor accounts the requests the check actually spends.

@@ -15,20 +15,52 @@ survive process restarts (and can be eyeballed with ``cat``).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Type
 
 from ..diffcore.textdiff import EditCommand, EditScript, script_size
 from .archive import RcsArchive, RevisionInfo, _StoredRevision
 
-__all__ = ["serialize_rcsfile", "parse_rcsfile", "RcsParseError"]
+__all__ = [
+    "serialize_rcsfile",
+    "parse_rcsfile",
+    "RcsParseError",
+    "quote_at_string",
+    "read_at_string",
+]
 
 
 class RcsParseError(ValueError):
     """The ,v text is not a valid archive serialization."""
 
 
-def _quote(text: str) -> str:
+def quote_at_string(text: str) -> str:
+    """``text`` as an ``@...@`` string, with literal ``@`` doubled."""
     return "@" + text.replace("@", "@@") + "@"
+
+
+def read_at_string(
+    text: str, pos: int, error: Type[Exception] = RcsParseError,
+) -> Tuple[str, int]:
+    """Read the ``@...@`` string that starts exactly at ``text[pos]``.
+
+    Returns the un-doubled value and the offset just past the closing
+    ``@``.  Raises ``error`` when no string starts at ``pos`` or it is
+    never closed; callers that allow leading whitespace skip it first.
+    """
+    if pos >= len(text) or text[pos] != "@":
+        raise error(f"expected @string at offset {pos}")
+    pos += 1
+    out: List[str] = []
+    while True:
+        next_at = text.find("@", pos)
+        if next_at == -1:
+            raise error("unterminated @string")
+        out.append(text[pos:next_at])
+        if text[next_at + 1:next_at + 2] == "@":
+            out.append("@")
+            pos = next_at + 2
+            continue
+        return "".join(out), next_at + 1
 
 
 def _format_script(script: EditScript) -> str:
@@ -44,7 +76,7 @@ def serialize_rcsfile(archive: RcsArchive) -> str:
         "access;",
         "symbols;",
         "locks; strict;",
-        f"comment\t{_quote('# ')};",
+        f"comment\t{quote_at_string('# ')};",
     ]
     if archive.keyframe_interval:
         # Checkpoint spacing survives the round trip; the checkpoints
@@ -62,7 +94,7 @@ def serialize_rcsfile(archive: RcsArchive) -> str:
         lines.append("")
     lines.append("")
     lines.append("desc")
-    lines.append(_quote(archive.name))
+    lines.append(quote_at_string(archive.name))
     lines.append("")
     # Text sections, newest first: head whole, others as reverse deltas.
     for index in range(len(revisions) - 1, -1, -1):
@@ -71,12 +103,12 @@ def serialize_rcsfile(archive: RcsArchive) -> str:
         lines.append("")
         lines.append(f"{info.number}")
         lines.append("log")
-        lines.append(_quote(info.log))
+        lines.append(quote_at_string(info.log))
         lines.append("text")
         if stored.reverse_delta is None:
-            lines.append(_quote(archive.checkout(info.number)))
+            lines.append(quote_at_string(archive.checkout(info.number)))
         else:
-            lines.append(_quote(_format_script(stored.reverse_delta)))
+            lines.append(quote_at_string(_format_script(stored.reverse_delta)))
     return "\n".join(lines) + "\n"
 
 
@@ -98,21 +130,8 @@ class _Reader:
     def read_string(self) -> str:
         """Read an @...@ string, un-doubling @@."""
         self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != "@":
-            raise RcsParseError(f"expected @string at offset {self.pos}")
-        self.pos += 1
-        out: List[str] = []
-        while True:
-            next_at = self.text.find("@", self.pos)
-            if next_at == -1:
-                raise RcsParseError("unterminated @string")
-            out.append(self.text[self.pos:next_at])
-            if self.text[next_at + 1:next_at + 2] == "@":
-                out.append("@")
-                self.pos = next_at + 2
-                continue
-            self.pos = next_at + 1
-            return "".join(out)
+        value, self.pos = read_at_string(self.text, self.pos)
+        return value
 
     def read_word(self) -> str:
         self.skip_ws()

@@ -12,8 +12,9 @@ timing out large numbers of requests".  Both behaviours live here:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..simclock import SimClock
 from .http import Headers, Request, Response, TimeoutError_
@@ -65,8 +66,10 @@ class ProxyCache:
         self.requests_per_instant_limit = 0
         self._instant: int = -1
         self._instant_requests = 0
-        self._cache: Dict[str, CacheEntry] = {}
-        self._lru: List[str] = []  # least-recently-used first
+        #: Least-recently-used first; a 304 revalidation does not move
+        #: an entry, a hit or a store moves it to the end.
+        self._cache: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        self._bytes = 0  # body bytes of every cached entry
         self.hits = 0
         self.misses = 0
         self.revalidations = 0
@@ -90,14 +93,11 @@ class ProxyCache:
         return _cache_key(url) in self._cache
 
     def evict(self, url: Url) -> None:
-        key = _cache_key(url)
-        self._cache.pop(key, None)
-        if key in self._lru:
-            self._lru.remove(key)
+        self._drop(_cache_key(url))
 
     @property
     def cached_bytes(self) -> int:
-        return sum(len(e.response.body) for e in self._cache.values())
+        return self._bytes
 
     # ------------------------------------------------------------------
     # Proxying
@@ -129,7 +129,7 @@ class ProxyCache:
 
         if entry is not None and now - entry.fetched_at < self.ttl:
             self.hits += 1
-            self._touch(key)
+            self._cache.move_to_end(key)
             return self._copy(entry.response)
 
         if entry is not None and entry.last_modified is not None:
@@ -163,32 +163,31 @@ class ProxyCache:
         return headers
 
     def _store(self, key: str, response: Response, now: int) -> None:
+        self._drop(key)
         self._cache[key] = CacheEntry(
             response=self._copy(response),
             fetched_at=now,
             last_modified=response.last_modified,
         )
-        self._touch(key)
-        self._enforce_capacity(key)
+        self._bytes += len(response.body)
+        self._enforce_capacity()
 
-    def _touch(self, key: str) -> None:
-        if key in self._lru:
-            self._lru.remove(key)
-        self._lru.append(key)
+    def _drop(self, key: str) -> None:
+        entry = self._cache.pop(key, None)
+        if entry is not None:
+            self._bytes -= len(entry.response.body)
 
-    def _enforce_capacity(self, protected: str) -> None:
+    def _enforce_capacity(self) -> None:
         """Evict least-recently-used entries past the byte budget.
 
-        The just-stored entry is never evicted, even when it alone
-        exceeds the budget — a proxy that cannot cache a page simply
-        holds it for the in-flight response.
+        The just-stored entry (the last one) is never evicted, even
+        when it alone exceeds the budget — a proxy that cannot cache a
+        page simply holds it for the in-flight response.
         """
         if self.capacity_bytes <= 0:
             return
-        while self.cached_bytes > self.capacity_bytes and len(self._cache) > 1:
-            victim = next(k for k in self._lru if k != protected)
-            self._lru.remove(victim)
-            self._cache.pop(victim, None)
+        while self._bytes > self.capacity_bytes and len(self._cache) > 1:
+            self._drop(next(iter(self._cache)))
             self.evictions += 1
 
     @staticmethod

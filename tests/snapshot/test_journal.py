@@ -13,6 +13,7 @@ from repro.core.snapshot.journal import (
     JOURNAL_NAME,
     JournalError,
     JournalRecord,
+    _Scanner,
     append_records,
     clear_journal,
     read_journal,
@@ -24,7 +25,7 @@ from repro.core.snapshot.persistence import (
     save_store,
 )
 from repro.core.snapshot.store import SnapshotStore, StoreOptions
-from repro.rcs.rcsfile import serialize_rcsfile
+from repro.rcs.rcsfile import RcsParseError, serialize_rcsfile
 from repro.simclock import HOUR, SimClock
 from repro.web.client import UserAgent
 from repro.web.network import Network
@@ -55,6 +56,24 @@ def serialized_archives(store):
         url: serialize_rcsfile(archive)
         for url, archive in store.archives.items()
     }
+
+
+class TestAtStrings:
+    """The journal reads RCS's @-strings with its own error type."""
+
+    def test_doubled_at_is_undoubled(self):
+        scanner = _Scanner("@a@@b@\trest")
+        assert scanner.read_string() == "a@b"
+        assert scanner.text[scanner.pos:] == "\trest"
+
+    def test_whitespace_before_an_at_string_is_rejected(self):
+        with pytest.raises(JournalError):
+            _Scanner(" @url@").read_string()
+
+    def test_unterminated_at_string_is_a_journal_error(self):
+        with pytest.raises(JournalError) as info:
+            _Scanner("@url").read_string()
+        assert not isinstance(info.value, RcsParseError)
 
 
 class TestJournalRecords:

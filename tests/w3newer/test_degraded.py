@@ -5,10 +5,11 @@ import pytest
 
 from repro.core.w3newer.errors import UrlState
 from repro.core.w3newer.hotlist import Hotlist
-from repro.core.w3newer.runner import W3Newer
+from repro.core.w3newer.runner import CrawlCheckpoint, W3Newer
 from repro.core.w3newer.thresholds import parse_threshold_config
 from repro.simclock import DAY, SimClock
 from repro.web.client import UserAgent
+from repro.web.http import TimeoutError_
 from repro.web.network import FaultPlan, Network
 from repro.web.resilience import ResilientAgent, RetryPolicy
 
@@ -25,6 +26,18 @@ def build_world(plan=None, hosts=1, resilient=False, **agent_kwargs):
     if resilient:
         agent = ResilientAgent(agent, **agent_kwargs)
     return clock, network, agent
+
+
+class PageOutageAgent(UserAgent):
+    """Serves robots.txt but times out every page HEAD while
+    ``pages_down`` is set."""
+
+    pages_down = True
+
+    def head(self, url, *args, **kwargs):
+        if self.pages_down:
+            raise TimeoutError_(f"{url} did not respond")
+        return super().head(url, *args, **kwargs)
 
 
 def make_tracker(clock, agent, hosts=1, **kwargs):
@@ -119,9 +132,14 @@ class TestCheckpointResume:
         clock, tracker = self.build_aborting_world(outage_end=2 * DAY)
         result = tracker.run()
         assert result.aborted
-        assert tracker.checkpoint is not None
-        assert tracker.checkpoint.next_index == len(result.outcomes)
-        assert tracker.checkpoint.hotlist_size == 10
+        checkpoint = tracker.checkpoint
+        assert isinstance(checkpoint, CrawlCheckpoint)
+        assert checkpoint.hotlist_size == 10
+        # Every URL is either decided or still pending, never both; the
+        # aborting URL (its outcome never recorded) is retried first.
+        pending = [check.index for check in checkpoint.pending]
+        assert sorted(checkpoint.outcomes) == list(range(len(result.outcomes)))
+        assert pending == list(range(len(result.outcomes), 10))
 
     def test_resume_covers_the_rest_of_the_hotlist(self):
         clock, tracker = self.build_aborting_world(outage_end=2 * DAY)
@@ -137,6 +155,24 @@ class TestCheckpointResume:
         assert len(second.outcomes) == 10
         states = {o.state for o in second.outcomes[done_first:]}
         assert states == {UrlState.NEVER_SEEN}
+
+    def test_resume_fetches_no_robots_txt_twice(self):
+        # robots.txt answers, but every page times out: hosts fail in
+        # turn until the streak spans two hosts and the run aborts.
+        clock, network, _ = build_world(hosts=3)
+        agent = PageOutageAgent(network, clock)
+        hotlist = Hotlist.from_lines("\n".join(
+            f"http://site{h}.com/page{p}.html"
+            for p in range(3) for h in range(3)
+        ))
+        tracker = W3Newer(clock, agent, hotlist, config=CONFIG,
+                          abort_after_failures=2)
+        assert tracker.run().aborted
+        agent.pages_down = False
+        assert not tracker.run().aborted
+        robots = [record.host for record in network.log
+                  if record.path == "/robots.txt"]
+        assert sorted(robots) == ["site0.com", "site1.com", "site2.com"]
 
     def test_edited_hotlist_invalidates_the_checkpoint(self):
         clock, tracker = self.build_aborting_world(outage_end=2 * DAY)

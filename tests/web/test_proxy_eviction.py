@@ -79,3 +79,27 @@ class TestCapacity:
         agent.get("http://big.com/p3")
         agent.get("http://big.com/p4")
         assert proxy.contains(parse_url("http://big.com/p1"))
+
+    def test_revalidation_keeps_lru_position(self, world):
+        clock, network, server, proxy, agent = world
+        agent.get("http://big.com/p0")
+        agent.get("http://big.com/p1")
+        agent.get("http://big.com/p2")
+        clock.advance(HOUR)
+        agent.get("http://big.com/p0")  # 304: fresh again, still oldest
+        assert proxy.revalidations == 1
+        agent.get("http://big.com/p3")
+        assert not proxy.contains(parse_url("http://big.com/p0"))
+        assert proxy.contains(parse_url("http://big.com/p1"))
+
+    def test_byte_total_follows_replaced_and_dropped_bodies(self, world):
+        clock, network, server, proxy, agent = world
+        agent.get("http://big.com/p0")
+        agent.get("http://big.com/p1")
+        clock.advance(HOUR)
+        server.set_page("/p0", "Z" * 50)
+        agent.get("http://big.com/p0")  # 200: the new body replaces it
+        assert proxy.cached_bytes == 150
+        proxy.evict(parse_url("http://big.com/p1"))
+        proxy.evict(parse_url("http://big.com/p9"))  # not cached
+        assert proxy.cached_bytes == 50
