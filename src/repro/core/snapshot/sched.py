@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .keepalive import CgiTimeout
 
@@ -54,6 +54,7 @@ __all__ = [
     "SimProcess",
     "SimScheduler",
     "SimulatedCrash",
+    "pick",
 ]
 
 
@@ -107,6 +108,12 @@ def _draw(seed: int, salt: str, bound: int) -> int:
     """Deterministic pseudo-random draw in ``[0, bound)``."""
     digest = hashlib.sha256(f"{seed}:{salt}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % bound
+
+
+def pick(seed: int, step: int, ready: Sequence):
+    """The seeded choice among ``ready`` at ``step``: the one rule of
+    :class:`SimScheduler` and of the crawl executor's workers."""
+    return ready[_draw(seed, str(step), len(ready))]
 
 
 @dataclass(frozen=True)
@@ -345,7 +352,7 @@ class SimScheduler:
                 else:
                     chosen = ready[0]
             else:
-                chosen = ready[_draw(self.seed, str(self._steps), len(ready))]
+                chosen = pick(self.seed, self._steps, ready)
             self._last_run = chosen
             self._resume(self.processes[chosen])
 

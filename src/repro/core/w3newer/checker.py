@@ -36,7 +36,7 @@ from ...web.http import NetworkError, NetworkUnreachable
 from ...web.proxy import ProxyCache
 from ...web.resilience import CircuitOpen, RetriesExhausted
 from ...web.robots import RobotsFile
-from ...web.url import parse_url
+from ...web.url import Url, parse_url
 from .errors import (
     CheckOutcome,
     CheckSource,
@@ -209,7 +209,8 @@ class UrlChecker:
         #    cache info for the paper's one-week staleness horizon,
         #    proxy info only while "current with respect to the
         #    threshold" (Section 3).
-        for mod_date, obtained_at, source in self._known_modification(url, record):
+        for mod_date, obtained_at, source in self._known_modification(
+                parsed, record):
             if last_seen is None or mod_date > last_seen:
                 state = (UrlState.NEVER_SEEN if last_seen is None
                          else UrlState.CHANGED)
@@ -305,7 +306,7 @@ class UrlChecker:
             modification_date=stat.mtime, last_seen=last_seen,
         )
 
-    def _known_modification(self, url: str, record):
+    def _known_modification(self, parsed: Url, record):
         """(date, obtained_at, source) candidates, freshest first."""
         candidates = []
         if record.modification_date is not None and record.date_obtained_at is not None:
@@ -314,7 +315,7 @@ class UrlChecker:
                  CheckSource.STATUS_CACHE)
             )
         if self.proxy is not None:
-            info = self.proxy.cached_last_modified(parse_url(url))
+            info = self.proxy.cached_last_modified(parsed)
             if info is not None:
                 candidates.append((info[0], info[1], CheckSource.PROXY_CACHE))
         candidates.sort(key=lambda c: -c[1])

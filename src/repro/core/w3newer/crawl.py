@@ -2,9 +2,9 @@
 
 Every w3newer run drains its check set here: with one worker, one URL
 at a time in order (the paper's walk); with more, as cooperative
-worker tasks on the snapshot facility's deterministic
-:class:`SimScheduler`.  Per-host politeness is enforced by a
-virtual-time **governor**:
+generator workers in one thread, interleaved by the seeded pick of the
+snapshot facility's :class:`~repro.core.snapshot.sched.SimScheduler`.
+Per-host politeness is enforced by a virtual-time **governor**:
 
 * :class:`HostGovernor` — the politeness and throughput model.  The
   sim clock is frozen during a run (the simulated network does not
@@ -17,11 +17,12 @@ virtual-time **governor**:
   starts to one host.  The resulting makespan is the run's virtual
   duration — the number the throughput bench gates on — and the slot
   trace is the determinism witness.
-* :class:`CrawlExecutor` — spawns ``workers`` SimScheduler processes
-  sharing one task queue.  Exactly one thread runs at a time and the
-  interleaving is drawn from the seed, so a seeded run is
-  byte-reproducible; checks themselves run without internal yields,
-  so every verdict is computed exactly as the serial checker would.
+* :class:`CrawlExecutor` — runs ``workers`` generator workers sharing
+  one task queue.  A worker yields only after claiming a task and
+  before placing a fetch; which worker goes next is drawn from the
+  seed, so a seeded run is byte-reproducible.  Checks themselves run
+  without internal yields, so every verdict is computed exactly as the
+  serial checker would.  No thread is started.
 
 An aborted or paused run leaves its unclaimed tasks with the caller
 (the runner parks them in a checkpoint); the politeness invariants
@@ -33,10 +34,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...web.url import parse_url
-from ..snapshot.sched import SimScheduler
+from ..snapshot.sched import pick
 from .checker import UrlChecker
 from .errors import CheckOutcome, RunAborted
 from .scheduler import ScheduledCheck, SchedulePolicy
@@ -54,7 +55,7 @@ __all__ = [
 class CrawlOptions:
     """Knobs for the concurrent crawl pipeline."""
 
-    #: Cooperative worker tasks (1 = serial, no SimScheduler).
+    #: Cooperative worker tasks (1 = serial).
     workers: int = 4
     #: Per-run fetch budget (None = unbounded, the paper's behavior).
     budget: Optional[int] = None
@@ -66,7 +67,7 @@ class CrawlOptions:
     host_delay: int = 1
     #: Virtual seconds one HTTP request occupies a worker.
     request_cost: int = 1
-    #: Interleaving seed for the SimScheduler.
+    #: Interleaving seed for the workers' seeded pick.
     seed: int = 0
     #: Stop (checkpoint) after this many claimed checks; None = run to
     #: completion.  The deterministic mid-run abort used by tests.
@@ -287,30 +288,29 @@ class CrawlExecutor:
     def run(self, checks: Sequence[ScheduledCheck]) -> CrawlResult:
         """Run every scheduled check; stop early on abort or quota.
 
-        With ``workers > 1`` the checks execute as SimScheduler
-        processes: one thread at a time, claim order drawn from the
-        seed.  Checks have no internal yield points, so each verdict
-        is computed atomically — concurrency changes *when* checks
-        run, never what they conclude.
+        The workers are generators driven in this thread: at each step
+        :func:`~repro.core.snapshot.sched.pick` chooses among the live
+        workers (spawn order) from the seed, exactly as a seeded
+        :class:`~repro.core.snapshot.sched.SimScheduler` would.  Checks
+        have no internal yield points, so each verdict is computed
+        atomically — concurrency changes *when* checks run, never what
+        they conclude.  A check that raises anything but
+        :class:`RunAborted` propagates at once.
         """
         self._queue = deque(checks)
         self._completed = []
         self._stop_reason = ""
         self._paused = False
         self._claims = 0
-        workers = max(1, self.options.workers)
-        if workers == 1 or len(self._queue) <= 1:
-            self._drain(None)
-        else:
-            sim = SimScheduler(seed=self.options.seed)
-            for i in range(min(workers, len(self._queue))):
-                sim.spawn(f"crawl-{i}", lambda: self._drain(sim))
-            sim.run()
-            sim.join_threads()
-            for name in sorted(sim.processes):
-                process = sim.processes[name]
-                if process.error is not None:
-                    raise process.error
+        workers = max(1, min(self.options.workers, len(self._queue)))
+        live = [self._drain() for _ in range(workers)]
+        step = 0
+        while live:
+            step += 1
+            worker = pick(self.options.seed, step, live) \
+                if len(live) > 1 else live[0]
+            if next(worker, None) is None:
+                live.remove(worker)
         return CrawlResult(
             completed=self._completed,
             pending=list(self._queue),
@@ -320,8 +320,9 @@ class CrawlExecutor:
         )
 
     # ------------------------------------------------------------------
-    def _drain(self, sim: Optional[SimScheduler]) -> None:
-        """One worker's loop: claim, check, place, repeat."""
+    def _drain(self) -> Iterator[str]:
+        """One worker's loop: claim, check, place, repeat.  Yields the
+        name of each point where another worker may run."""
         options = self.options
         while True:
             if self._stop_reason or self._paused:
@@ -334,8 +335,7 @@ class CrawlExecutor:
                 return
             task = self._queue.popleft()
             self._claims += 1
-            if sim is not None:
-                sim.checkpoint("crawl.claim")
+            yield "crawl.claim"
             try:
                 # One span per check: the state/source pair names the
                 # ladder rung that decided it (threshold skip, proxy/
@@ -355,8 +355,7 @@ class CrawlExecutor:
                 self._stop_reason = str(exc)
                 return
             if outcome.http_requests > 0:
-                if sim is not None:
-                    sim.checkpoint("crawl.fetched")
+                yield "crawl.fetched"
                 host = parse_url(task.url).host or "-"
                 self.governor.place(host, outcome.http_requests, url=task.url)
             self._completed.append((task, outcome))

@@ -79,16 +79,15 @@ _GROUP_ORDER = {
 }
 
 
-def _aide_links(url: str, options: ReportOptions) -> str:
-    """The Remember / Diff / History trio (Section 6)."""
-    pieces = []
-    for action in ("remember", "diff", "history"):
-        query = encode_query_string(
-            {"action": action, "url": url, "user": options.user}
-        )
-        label = action.capitalize()
-        pieces.append(f'<A HREF="{options.snapshot_base}?{query}">[{label}]</A>')
-    return " ".join(pieces)
+def _aide_links(url: str, options: ReportOptions, user_query: str) -> str:
+    """The Remember / Diff / History trio (Section 6).  ``user_query``
+    is ``user=...``, encoded once per report; the actions need no
+    escaping, so the row's URL is the only value encoded here."""
+    head = f'<A HREF="{options.snapshot_base}?action='
+    tail = f'&{encode_query_string({"url": url})}&{user_query}">'
+    return (f"{head}remember{tail}[Remember]</A> "
+            f"{head}diff{tail}[Diff]</A> "
+            f"{head}history{tail}[History]</A>")
 
 
 def _sort_key(outcome: CheckOutcome, options: ReportOptions):
@@ -109,6 +108,7 @@ def render_report(
     """The Figure 1 HTML report (plus an optional run-summary block)."""
     options = options or ReportOptions()
     titles = {entry.url: entry.display_title() for entry in entries}
+    user_query = encode_query_string({"user": options.user})
 
     rows: List[str] = []
     for outcome in sorted(outcomes, key=lambda o: _sort_key(o, options)):
@@ -137,14 +137,17 @@ def render_report(
                 detail += f" ({outcome.error_count} guard trips)"
             detail += "; in backoff</I>"
         if outcome.moved_to:
+            # A server's Location header: hostile until escaped.
+            moved_to = encode_entities(outcome.moved_to, quote=True)
             detail += (
-                f' &#183; moved to <A HREF="{outcome.moved_to}">'
-                f"{outcome.moved_to}</A>"
+                f' &#183; moved to <A HREF="{moved_to}">{moved_to}</A>'
             )
         strong_open, strong_close = ("<B>", "</B>") if outcome.is_new_to_user else ("", "")
+        href = encode_entities(outcome.url, quote=True)
         rows.append(
-            f'<LI>{strong_open}<A HREF="{outcome.url}">{title}</A>{strong_close} '
-            f"&#151; {label}{detail}<BR>{_aide_links(outcome.url, options)}"
+            f'<LI>{strong_open}<A HREF="{href}">{title}</A>{strong_close} '
+            f"&#151; {label}{detail}<BR>"
+            f"{_aide_links(outcome.url, options, user_query)}"
         )
 
     changed = sum(1 for o in outcomes if o.is_new_to_user)
@@ -209,13 +212,13 @@ def render_all_dates_report(
         title = encode_entities(titles.get(outcome.url, outcome.url))
         rows.append(
             f'<LI>{format_timestamp(outcome.modification_date)} &#183; '
-            f'<A HREF="{outcome.url}">{title}</A>'
+            f'<A HREF="{encode_entities(outcome.url, quote=True)}">{title}</A>'
         )
     for outcome in undated:
         title = encode_entities(titles.get(outcome.url, outcome.url))
         rows.append(
             f'<LI>(no modification date) &#183; '
-            f'<A HREF="{outcome.url}">{title}</A>'
+            f'<A HREF="{encode_entities(outcome.url, quote=True)}">{title}</A>'
         )
     return (
         "<HTML><HEAD><TITLE>All modification times</TITLE></HEAD><BODY>"

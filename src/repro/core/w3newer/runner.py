@@ -207,8 +207,8 @@ class W3Newer:
         without HTTP and picks the fetch set under the budget.
         Otherwise the executor gets the de-duplicated hotlist in order
         and the ladder decides every URL once: the paper's walk.  The
-        executor drains the checks on ``workers`` cooperative
-        SimScheduler tasks (one worker = no scheduler) while the
+        executor drains the checks on ``workers`` cooperative generator
+        workers in this thread, interleaved by a seeded pick, while the
         :class:`HostGovernor` places every fetch on a virtual timeline
         under the per-host politeness limits.  Same seed, same inputs
         ⇒ byte-identical report and fetch trace.

@@ -264,11 +264,11 @@ def build_schedule(
             decide(url, "never", "threshold is 'never'")
             continue
 
-        parsed = parse_url(url)
         last_seen = history.last_seen(url)
         record = cache.peek(url)
 
-        if parsed.scheme == "file":
+        # The canonical form starts with its scheme: no second parse.
+        if canon.startswith("file:"):
             candidate = _Candidate(index=index, url=url, expects_http=False,
                                    last_seen=last_seen)
             free.append(candidate)

@@ -8,6 +8,10 @@ checked end to end: a run paused mid-crawl and resumed must produce a
 byte-identical report and spend no duplicate fetches.
 """
 
+import threading
+
+import pytest
+
 from repro.core.w3newer import (
     BrowserHistory,
     ChangeRateEstimator,
@@ -18,6 +22,7 @@ from repro.core.w3newer import (
     SchedulePolicy,
     W3Newer,
 )
+from repro.core.w3newer.checker import UrlChecker
 from repro.simclock import DAY, SimClock
 from repro.web import Network, PolitenessLog, UserAgent
 from repro.workloads import (
@@ -236,3 +241,34 @@ class TestGovernorUnit:
         assert first.worker == 0  # all free: lowest index wins
         second = governor.place("y.com", requests=1)
         assert second.worker == 1
+
+
+class TestExecutorWorkers:
+    """The workers are generators in the caller's thread."""
+
+    def test_a_seeded_run_starts_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the crawl executor started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        clock, world, tracker, _ = build_tracker(workers=8, seed=4)
+        result = advance_and_run(clock, world, tracker)
+        assert len(result.outcomes) == 60
+        assert tracker.last_crawl["claims"] > 8
+
+    def test_an_unexpected_error_propagates_at_once(self, monkeypatch):
+        clock, world, tracker, _ = build_tracker(workers=4, seed=1)
+        original = UrlChecker.check
+        calls = []
+
+        def failing(self, url, force=False):
+            calls.append(url)
+            if len(calls) == 3:
+                raise KeyError("boom")
+            return original(self, url, force=force)
+
+        monkeypatch.setattr(UrlChecker, "check", failing)
+        with pytest.raises(KeyError):
+            advance_and_run(clock, world, tracker)
+        # No other worker ran a check after the failing one.
+        assert len(calls) == 3
