@@ -75,9 +75,6 @@ class WebWeaver:
     def exists(self, name: str) -> bool:
         return name in self._archives
 
-    def page_names(self) -> List[str]:
-        return sorted(self._archives)
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------

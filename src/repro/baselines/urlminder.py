@@ -63,9 +63,6 @@ class UrlMinder:
         """The HTML-form registration ("cumbersome", but here we are)."""
         self._subscribers.setdefault(url, set()).add(user_email)
 
-    def subscriber_count(self, url: str) -> int:
-        return len(self._subscribers.get(url, ()))
-
     # ------------------------------------------------------------------
     def poll(self) -> int:
         """One sweep: each URL fetched once regardless of subscribers.

@@ -66,6 +66,8 @@ def html_diff(
     matcher: Optional[TokenMatcher] = None,
     obs=None,
     budget=None,
+    old_tokens: Optional[List[Token]] = None,
+    new_tokens: Optional[List[Token]] = None,
 ) -> HtmlDiffResult:
     """Compare two HTML documents and produce a marked-up page.
 
@@ -81,6 +83,14 @@ def html_diff(
     ``len(old) * len(new)`` tokens exceed the work cap, the quadratic
     sentence matcher is skipped in favor of a linear coarse line diff
     (``degraded=True`` on the result) instead of hanging.
+
+    ``old_tokens`` / ``new_tokens``, when given, are the documents'
+    token streams as :func:`tokenize_document` made them (under a fork
+    of the same ``budget``, if any); that document is then not
+    tokenized again.  The snapshot store passes a revision's stream
+    kept from an earlier diff this way.  They follow their documents:
+    in ``MERGED_REVERSED`` they swap with ``old_html`` and ``new_html``.
+    The streams are only read, never changed.
     """
     options = options or HtmlDiffOptions()
     options.validate()
@@ -93,15 +103,18 @@ def html_diff(
         # "By reversing the sense of 'old' and 'new' one can create a
         # merged page with the old markups intact and the new deleted."
         old_html, new_html = new_html, old_html
+        old_tokens, new_tokens = new_tokens, old_tokens
 
     obs.counter("htmldiff.invocations").inc()
     with obs.span("htmldiff.tokenize") as span:
         # Each document gets a fresh meter: the caps are per document,
         # not per comparison.
-        old_tokens: List[Token] = tokenize_document(
-            old_html, budget=budget.fork() if budget is not None else None)
-        new_tokens: List[Token] = tokenize_document(
-            new_html, budget=budget.fork() if budget is not None else None)
+        if old_tokens is None:
+            old_tokens = tokenize_document(
+                old_html, budget=budget.fork() if budget is not None else None)
+        if new_tokens is None:
+            new_tokens = tokenize_document(
+                new_html, budget=budget.fork() if budget is not None else None)
         span.set(old_tokens=len(old_tokens), new_tokens=len(new_tokens))
     obs.counter("htmldiff.tokens").inc(len(old_tokens) + len(new_tokens))
 

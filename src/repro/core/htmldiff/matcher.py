@@ -207,29 +207,29 @@ class TokenMatcher:
         the DP's equality test an int compare, the exact-match weight an
         array lookup, and the fuzzy-pair memo an int-tuple dict.
         """
-        index: Dict[Tuple, int] = {}
+        # A break is keyed by its normalized string and a sentence by its
+        # key tuple, so the two kinds never share an id.
+        index: Dict[object, int] = {}
         reps: List[Token] = []
         is_break: List[bool] = []
         exact_w: List[float] = []
 
-        def intern(token: Token) -> int:
-            key = _token_identity(token)
-            token_id = index.get(key)
-            if token_id is None:
-                token_id = len(reps)
-                index[key] = token_id
-                reps.append(token)
-                if isinstance(token, BreakToken):
-                    is_break.append(True)
-                    exact_w.append(1.0)
-                else:
-                    is_break.append(False)
-                    length = token.length
-                    exact_w.append(float(length) if length else 0.5)
-            return token_id
+        def intern(tokens: Sequence[Token]) -> List[int]:
+            ids = []
+            for token in tokens:
+                brk = token.__class__ is BreakToken
+                key = token.normalized if brk else token.key
+                token_id = index.get(key)
+                if token_id is None:
+                    token_id = index[key] = len(reps)
+                    reps.append(token)
+                    is_break.append(brk)
+                    exact_w.append(1.0 if brk else float(token.length) or 0.5)
+                ids.append(token_id)
+            return ids
 
-        a_ids = [intern(t) for t in old_tokens]
-        b_ids = [intern(t) for t in new_tokens]
+        a_ids = intern(old_tokens)
+        b_ids = intern(new_tokens)
 
         pair_cache: Dict[Tuple[int, int], float] = {}
 

@@ -14,6 +14,7 @@ there).
 from __future__ import annotations
 
 import re
+from sys import intern
 from typing import List
 
 from ...html.entities import decode_entities
@@ -41,7 +42,11 @@ def tokens_from_nodes(nodes: List[Node]) -> List:
 
     Comments and declarations are invisible to comparison.  Inside
     ``<PRE>`` (and the other whitespace-preserving tags) each line is
-    its own sentence.
+    its own sentence.  Words (and ``<PRE>`` lines) are interned: a page
+    repeats a small vocabulary many times over, and the snapshot store
+    keeps streams from one diff to the next, so each distinct word is
+    held once.  CPython frees an interned string with its last
+    reference, so the table does not grow without bound.
     """
     tokens: List = []
     append = tokens.append
@@ -82,17 +87,17 @@ def tokens_from_nodes(nodes: List[Node]) -> List:
                         append(SentenceToken(tuple(items), True))
                         items = []
                     if line.strip():
-                        items.append(line)
+                        items.append(intern(line))
                 continue
             pos = 0
             for match in _SENTENCE_END_RE.finditer(data):
                 # str.split() splits on exactly what ``\s`` matches.
-                items.extend(data[pos:match.end(1)].split())
+                items.extend(map(intern, data[pos:match.end(1)].split()))
                 if items:
                     append(SentenceToken(tuple(items), False))
                     items = []
                 pos = match.end()
-            items.extend(data[pos:].split())
+            items.extend(map(intern, data[pos:].split()))
     if items:
         append(SentenceToken(tuple(items), preformatted))
     return tokens

@@ -49,8 +49,8 @@ read exactly as before.
 Reading comes in two flavors.  :func:`read_journal` is strict: any
 damage raises :class:`JournalError`.  :func:`scan_journal` never raises
 on content: it is :func:`repro.framedlog.scan` with this module's
-record parser, after decoding the bare ``rev`` records that journals
-written before framing start with.
+record parser.  A journal of bare ``rev`` records from before framing
+is reported as damage that must not be truncated.
 """
 
 from __future__ import annotations
@@ -322,30 +322,6 @@ def _parse_payload(payload: bytes) -> object:
     return entry
 
 
-def _legacy_prefix(data: bytes) -> Tuple[List[JournalRecord], int]:
-    """The pre-framing bare ``rev`` records at the head of ``data`` (only
-    ever a prefix: every writer since framing appends frames), and the
-    byte offset just past them.  Decodes strictly up to the first
-    invalid byte, so the offset arithmetic stays exact."""
-    if data.lstrip(b" \t\r\n")[:3] != b"rev":
-        return [], 0
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        text = data[:exc.start].decode("utf-8")
-    scanner = _Scanner(text)
-    records: List[JournalRecord] = []
-    end = 0
-    while True:
-        scanner.skip(" \t\r\n")
-        try:
-            records.append(_read_one(scanner))
-        except JournalError:
-            break
-        end = scanner.pos
-    return records, len(text[:end].encode("utf-8"))
-
-
 def scan_journal(directory: str) -> JournalScan:
     """Tolerant read of ``directory``'s journal (see :class:`JournalScan`).
 
@@ -354,9 +330,13 @@ def scan_journal(directory: str) -> JournalScan:
     to (mid-file corruption with committed records beyond it).
     """
     data = framedlog.read(os.path.join(directory, JOURNAL_NAME))
-    legacy, start = _legacy_prefix(data)
-    scan = JournalScan(**vars(framedlog.scan(data, _parse_payload, start)))
-    scan.entries[:0] = legacy
+    scan = JournalScan(**vars(framedlog.scan(data, _parse_payload)))
+    if not scan.entries and data.lstrip(b" \t\r\n")[:3] == b"rev":
+        # Bare records from before framing: refuse, never truncate them
+        # away as a torn tail.
+        scan.recoverable = False
+        scan.damage = ("unframed records from before the framed format; "
+                       f"convert or remove the journal ({scan.damage})")
     return scan
 
 

@@ -284,11 +284,6 @@ class LockManager:
         state = self._locks.get(key)
         return state.owner if state else None
 
-    def held_by(self, owner: str) -> List[str]:
-        return sorted(
-            key for key, state in self._locks.items() if state.owner == owner
-        )
-
     def stats(self) -> Dict[str, int]:
         return {
             "acquisitions": self.acquisitions,

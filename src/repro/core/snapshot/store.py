@@ -30,6 +30,7 @@ from ...web.http import NetworkError
 from ...web.url import canonical_url
 from ..htmldiff.api import html_diff
 from ..htmldiff.options import HtmlDiffOptions
+from ..htmldiff.tokenizer import tokenize_document
 from .locking import LockManager, RequestCoalescer
 from .options import StoreOptions
 from .usercontrol import UserControl
@@ -164,6 +165,15 @@ class SnapshotStore:
         #: link checks out each endpoint once, shared with
         #: view/view_at/time travel.
         self.checkout_cache: LruCache[str] = LruCache(
+            self.options.checkout_cache_size
+        )
+        #: Per archive, ``(revision, caps, tokens)``: the HtmlDiff token
+        #: stream of the newest revision an unpinned Diff compared.  A
+        #: user who then Remembers makes that revision their next "old",
+        #: so their next Diff does not tokenize it again.  ``caps`` are
+        #: the guard's tokenizer caps (``None`` without a guard); a
+        #: stream is reused only under the same caps.
+        self.token_cache: LruCache[Tuple] = LruCache(
             self.options.checkout_cache_size
         )
         #: Local cached copy of the most recent fetch per URL (the
@@ -628,7 +638,8 @@ class SnapshotStore:
                     f"{user} has no saved version of {key} — Remember it first"
                 )
             rev_old = seen.revision
-        if rev_new is None:
+        unpinned = rev_new is None
+        if unpinned:
             # The report's Diff link compares against the page as it is
             # NOW: fetch the live copy and archive it (once, for every
             # user) before diffing.  If the site is unreachable, fall
@@ -649,27 +660,52 @@ class SnapshotStore:
         cache_key = f"diff:{key}:{rev_old}:{rev_new}"
         with self.locks.acquire(f"url:{key}"):
             result = self.coalescer.do(
-                cache_key, lambda: self._run_htmldiff(archive, rev_old, rev_new)
+                cache_key,
+                lambda: self._run_htmldiff(archive, rev_old, rev_new, unpinned),
             )
             self.diff_cache.put(shared_key, result)
             return result
 
     def _run_htmldiff(
-        self, archive: RcsArchive, rev_old: str, rev_new: str
+        self, archive: RcsArchive, rev_old: str, rev_new: str,
+        keep_new: bool,
     ) -> DiffPage:
+        key = archive.name
         try:
-            old_text = self._checkout_text(archive.name, archive, rev_old)
-            new_text = self._checkout_text(archive.name, archive, rev_new)
+            old_text = self._checkout_text(key, archive, rev_old)
+            new_text = self._checkout_text(key, archive, rev_new)
         except UnknownRevision as exc:
-            raise SnapshotError(f"no such revision of {archive.name}: {exc}")
+            raise SnapshotError(f"no such revision of {key}: {exc}")
         self.htmldiff_invocations += 1
-        budget = (self.guard.html_budget(archive.name)
-                  if self.guard is not None else None)
+        if self.guard is None:
+            budget = caps = None
+        else:
+            budget = self.guard.html_budget(key)
+            caps = (budget.max_tokens, budget.max_depth,
+                    budget.max_attrs_per_tag)
+        old_tokens = self._tokens(key, rev_old, old_text, budget, caps)
+        new_tokens = self._tokens(key, rev_new, new_text, budget, caps)
+        if keep_new:
+            # Only an unpinned Diff's head becomes a user's next "old";
+            # a pinned pair would evict that stream for one never reused.
+            self.token_cache.put(key, (rev_new, caps, new_tokens))
         result = html_diff(old_text, new_text, options=self.diff_options,
-                           obs=self.obs, budget=budget)
+                           obs=self.obs, budget=budget,
+                           old_tokens=old_tokens, new_tokens=new_tokens)
         return DiffPage(result.html, result.identical,
                         result.difference_count, result.change_density,
                         result.degraded)
+
+    def _tokens(self, key: str, revision: str, text: str, budget,
+                caps: Optional[Tuple]) -> List:
+        """``text``'s token stream: the kept one when it is of this
+        revision under the same caps, else tokenized under a fresh
+        fork of ``budget`` (markup bombs raise here)."""
+        kept = self.token_cache.get(key)
+        if kept is not None and kept[0] == revision and kept[1] == caps:
+            return kept[2]
+        return tokenize_document(
+            text, budget=budget.fork() if budget is not None else None)
 
     def _checkout_text(
         self, key: str, archive: RcsArchive, revision: Optional[str] = None

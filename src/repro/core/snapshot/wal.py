@@ -122,6 +122,7 @@ class Transaction:
             # which would otherwise serve the rolled-back outcome to a
             # retry at the same simulated instant.
             store.checkout_cache.discard((url, revision))
+            store.token_cache.discard(url)
             store.diff_cache.invalidate(lambda key: key[0] == url)
             store.coalescer.invalidate(f"diff:{url}:")
             store.coalescer.invalidate(f"checkin:{url}:")

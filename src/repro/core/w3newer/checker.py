@@ -263,17 +263,20 @@ class UrlChecker:
                 return CheckOutcome(
                     url=url, state=UrlState.ERROR, error=robots_error,
                     error_count=record.error_count, last_seen=last_seen,
-                    http_requests=requests_spent,
+                    http_requests=requests_spent, host=parsed.host,
                 )
             if not allowed:
                 record.robot_forbidden = True
                 return CheckOutcome(
                     url=url, state=UrlState.ROBOT_FORBIDDEN,
                     last_seen=last_seen, http_requests=requests_spent,
+                    host=parsed.host,
                 )
 
         # 6. Spend real HTTP.
-        return self._check_via_http(url, last_seen, record, requests_spent)
+        outcome = self._check_via_http(url, last_seen, record, requests_spent)
+        outcome.host = parsed.host
+        return outcome
 
     # ------------------------------------------------------------------
     def _check_local_file(

@@ -36,7 +36,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ...web.url import parse_url
 from ..snapshot.sched import pick
 from .checker import UrlChecker
 from .errors import CheckOutcome, RunAborted
@@ -190,10 +189,6 @@ class HostGovernor:
     def max_inflight(self) -> int:
         """The highest per-host overlap any host ever reached."""
         return max((s.peak for s in self._hosts.values()), default=0)
-
-    def host_counts(self) -> Dict[str, int]:
-        """Fetch checks placed per host."""
-        return {host: state.placed for host, state in self._hosts.items()}
 
     def stats(self) -> Dict[str, object]:
         """Aggregate counters for the observability surface."""
@@ -356,6 +351,6 @@ class CrawlExecutor:
                 return
             if outcome.http_requests > 0:
                 yield "crawl.fetched"
-                host = parse_url(task.url).host or "-"
-                self.governor.place(host, outcome.http_requests, url=task.url)
+                self.governor.place(outcome.host or "-",
+                                    outcome.http_requests, url=task.url)
             self._completed.append((task, outcome))

@@ -10,7 +10,7 @@ vocabulary here feeds the Figure 1 report; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -74,6 +74,9 @@ class CheckOutcome:
     moved_to: str = ""
     #: Number of HTTP requests this check cost (the scalability metric).
     http_requests: int = 0
+    #: The URL's host when the check spent HTTP on it: the crawl's
+    #: per-host governor meters by it.  Not part of equality or repr.
+    host: Optional[str] = field(default=None, compare=False, repr=False)
 
     @property
     def is_new_to_user(self) -> bool:

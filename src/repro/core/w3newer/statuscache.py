@@ -105,13 +105,11 @@ class StatusCache:
     # Persistence (w3newer keeps this across cron runs)
     # ------------------------------------------------------------------
     def serialize(self) -> str:
-        """A line-per-URL text format, ``|``-separated fields.
+        """A line-per-URL text format, twelve ``|``-separated fields.
 
-        The tenth field (``last_change_at``) was added for the change-
-        rate estimator, and the eleventh/twelfth
-        (``quarantine_count``/``quarantined_at``) for the content-guard
-        quarantine; :meth:`deserialize` still accepts the legacy nine-
-        and ten-field forms, so old cache files load cleanly.
+        :meth:`deserialize` skips any other line, including the nine-
+        and ten-field forms written before the change-rate estimator's
+        ``last_change_at`` and the quarantine's two fields existed.
         """
         lines = []
         for key in sorted(self._records):
@@ -141,7 +139,7 @@ class StatusCache:
         cache = cls()
         for line in text.splitlines():
             parts = line.split("|")
-            if len(parts) not in (9, 10, 12):
+            if len(parts) != 12:
                 continue
             record = cache.record_for(parts[0])
             record.modification_date = _parse_opt(parts[1])
@@ -155,14 +153,12 @@ class StatusCache:
             except ValueError:
                 record.error_count = 0
             record.moved_to = "" if parts[8] == "-" else parts[8]
-            if len(parts) >= 10:
-                record.last_change_at = _parse_opt(parts[9])
-            if len(parts) == 12:
-                try:
-                    record.quarantine_count = int(parts[10])
-                except ValueError:
-                    record.quarantine_count = 0
-                record.quarantined_at = _parse_opt(parts[11])
+            record.last_change_at = _parse_opt(parts[9])
+            try:
+                record.quarantine_count = int(parts[10])
+            except ValueError:
+                record.quarantine_count = 0
+            record.quarantined_at = _parse_opt(parts[11])
         return cache
 
 

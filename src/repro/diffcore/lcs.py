@@ -266,19 +266,20 @@ def canonicalize_pairs(
     """
     if not pairs:
         return list(pairs)
-    if key is None:
-        key = lambda x: x  # noqa: E731 - identity
+    if key is not None:
+        a = [key(x) for x in a]
+        b = [key(y) for y in b]
     pos_a: Dict[Hashable, List[int]] = {}
     for i, x in enumerate(a):
-        pos_a.setdefault(key(x), []).append(i)
+        pos_a.setdefault(x, []).append(i)
     pos_b: Dict[Hashable, List[int]] = {}
     for j, y in enumerate(b):
-        pos_b.setdefault(key(y), []).append(j)
+        pos_b.setdefault(y, []).append(j)
     out: List[Match] = []
     prev_i = prev_j = -1
     for i, j, w in pairs:
-        occ_a = pos_a[key(a[i])]
-        occ_b = pos_b[key(b[j])]
+        occ_a = pos_a[a[i]]
+        occ_b = pos_b[b[j]]
         # First occurrence after the previous pair; (i, j) itself
         # qualifies, so the bisect always lands on an index <= it.
         ci = occ_a[bisect_left(occ_a, prev_i + 1)]

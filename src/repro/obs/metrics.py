@@ -254,9 +254,6 @@ class MetricsRegistry:
         ]
         self._collectors.append((prefix, fn))
 
-    def collector_prefixes(self) -> List[str]:
-        return sorted(prefix for prefix, _fn in self._collectors)
-
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """One deterministic flat mapping of name → value.

@@ -123,23 +123,11 @@ class _Reader:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek_at_string(self) -> bool:
-        self.skip_ws()
-        return self.pos < len(self.text) and self.text[self.pos] == "@"
-
     def read_string(self) -> str:
         """Read an @...@ string, un-doubling @@."""
         self.skip_ws()
         value, self.pos = read_at_string(self.text, self.pos)
         return value
-
-    def read_word(self) -> str:
-        self.skip_ws()
-        match = re.compile(r"[^\s;@]+").match(self.text, self.pos)
-        if not match:
-            raise RcsParseError(f"expected word at offset {self.pos}")
-        self.pos = match.end()
-        return match.group(0)
 
     def skip_to_line_matching(self, pattern: re.Pattern) -> Optional[str]:
         """Advance past lines until one matches; return the match."""

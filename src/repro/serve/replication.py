@@ -546,6 +546,7 @@ class ReplicationManager:
                     self.divergence_rebuilds += 1
                     dst.checkout_cache.invalidate(
                         lambda cached: cached[0] == key)
+                    dst.token_cache.discard(key)
                     del dst.archives[key]
                     dst.persisted_revisions.pop(key, None)
                 dst_archive = dst.archive_for(key)
@@ -559,6 +560,7 @@ class ReplicationManager:
             # The source holds nothing for this URL; mirror that.
             self.divergence_rebuilds += 1
             dst.checkout_cache.invalidate(lambda cached: cached[0] == key)
+            dst.token_cache.discard(key)
             del dst.archives[key]
             dst.persisted_revisions.pop(key, None)
             dst.diff_cache.invalidate(lambda cached: cached[0] == key)

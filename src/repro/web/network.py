@@ -324,9 +324,6 @@ class Network:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def requests_since(self, when: int) -> List[RequestRecord]:
-        return [record for record in self.log if record.time >= when]
-
     def request_counts_by_host(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for record in self.log:

@@ -42,12 +42,6 @@ class Url:
     fragment: Optional[str] = None
 
     @property
-    def effective_port(self) -> Optional[int]:
-        if self.port is not None:
-            return self.port
-        return _DEFAULT_PORTS.get(self.scheme)
-
-    @property
     def request_path(self) -> str:
         """Path + query as sent in an HTTP request line."""
         path = self.path or "/"
@@ -88,9 +82,6 @@ class Url:
             path = "/" + path
         return Url(scheme=scheme, host=host, port=port, path=path,
                    query=query, fragment=None)
-
-    def without_fragment(self) -> "Url":
-        return replace(self, fragment=None)
 
     def __str__(self) -> str:
         out = ""

@@ -170,27 +170,20 @@ class TestMidFileCorruption:
         assert scan.damage_offset == 0
 
 
-class TestLegacyJournals:
-    def test_unframed_records_still_load(self, tmp_path):
-        record = JournalRecord(url=URL, revision="1.1", date=7,
-                               author="a@b", log="l", text="body @@ text\n")
-        legacy = (
-            "rev\t@%s@\t1.1\t7\t@a@@b@\n@l@\n@body @@@@ text\n@\n" % URL
-        )
-        with open(journal_path(tmp_path), "w", encoding="utf-8") as handle:
+class TestUnframedJournals:
+    def test_unframed_journal_refused_not_truncated(self, tmp_path):
+        # Bare records from before framing: no writer makes them any
+        # more, and dropping them as a torn tail would lose revisions.
+        legacy = ("rev\t@%s@\t1.1\t7\t@a@\n@l@\n@one@\n" % URL).encode()
+        with open(journal_path(tmp_path), "wb") as handle:
             handle.write(legacy)
-        assert read_journal(str(tmp_path)) == [record]
-
-    def test_mixed_legacy_then_framed(self, tmp_path):
-        legacy = "rev\t@%s@\t1.1\t7\t@a@\n@l@\n@one@\n" % URL
-        with open(journal_path(tmp_path), "w", encoding="utf-8") as handle:
-            handle.write(legacy)
-        append_records(str(tmp_path), [JournalRecord(
-            url=URL, revision="1.2", date=8, author="a", log="l",
-            text="two",
-        )])
-        records = read_journal(str(tmp_path))
-        assert [r.text for r in records] == ["one", "two"]
+        scan = scan_journal(str(tmp_path))
+        assert not scan.recoverable
+        assert "before the framed format" in scan.damage
+        _clock, fresh = make_store()
+        with pytest.raises(JournalError):
+            load_store(fresh, str(tmp_path))
+        assert open(journal_path(tmp_path), "rb").read() == legacy
 
 
 class TestVerifyStore:

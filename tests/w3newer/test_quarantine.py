@@ -136,15 +136,28 @@ class TestRecordPersistence:
         assert copy.quarantine_count == 2
         assert copy.quarantined_at == 5678
 
-    def test_old_cache_lines_still_parse(self):
+    def test_old_cache_lines_are_skipped(self):
         cache = StatusCache()
         record = cache.record_for("http://site.com/x")
         record.record_quarantine("boom", at=9)
         line = cache.serialize().strip().splitlines()[-1]
-        # Drop the two quarantine fields: a pre-upgrade cache line.
-        legacy = "|".join(line.split("|")[:10])
-        restored = StatusCache.deserialize(legacy + "\n")
-        assert restored.record_for("http://site.com/x").quarantine_count == 0
+        # Drop the quarantine fields: the retired ten- and nine-field
+        # line forms no writer makes any more.
+        for fields in (10, 9):
+            legacy = "|".join(line.split("|")[:fields])
+            assert len(StatusCache.deserialize(legacy + "\n")) == 0
+
+    def test_checker_written_cache_round_trips_byte_identical(self):
+        world = World()
+        checker = world.checker()
+        for url in ("http://site.com/bomb", "http://site.com/clean"):
+            checker.check(url)
+        world.clock.advance(DAY)
+        world.server.set_page("/clean", CLEAN + "<P>more</P>",
+                              send_last_modified=False)
+        checker.check("http://site.com/clean")
+        text = world.cache.serialize()
+        assert StatusCache.deserialize(text).serialize() == text
 
     def test_quarantine_does_not_bump_error_count(self):
         record = UrlRecord(url="http://site.com/x")
