@@ -118,7 +118,8 @@ class FixedPageCollection:
                 {"action": "history", "url": url, "user": ARCHIVE_IDENTITY}
             )
             rows.append(
-                f'<LI><A HREF="{url}">{encode_entities(url)}</A> &#183; '
+                f'<LI><A HREF="{encode_entities(url, quote=True)}">'
+                f"{encode_entities(url)}</A> &#183; "
                 f"changed {format_timestamp(changed_at)} "
                 f'<A HREF="{self.snapshot_base}?{diff_q}">[Diff]</A> '
                 f'<A HREF="{self.snapshot_base}?{hist_q}">[History]</A>'

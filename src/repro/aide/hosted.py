@@ -191,7 +191,7 @@ class HostedTrackerService:
                 {"action": "ack", "user": user, "url": row.url}
             )
             items.append(
-                f'<LI>{flag}<A HREF="{row.url}">'
+                f'<LI>{flag}<A HREF="{encode_entities(row.url, quote=True)}">'
                 f"{encode_entities(row.title)}</A>{detail} "
                 f'<A HREF="{self.script_path}?{ack_query}">[Mark seen]</A>'
             )
@@ -219,9 +219,11 @@ class HostedTrackerService:
                 count = self.upload_hotlist(user, hotlist_text, fmt=fmt)
             except ValueError as exc:
                 return make_response(400, f"<P>{encode_entities(str(exc))}</P>")
+            report_query = encode_query_string(
+                {"action": "report", "user": user})
             return make_response(
                 200, f"<P>Hotlist stored: {count} entries. Reports at "
-                     f'<A HREF="{self.script_path}?action=report&user={user}">'
+                     f'<A HREF="{self.script_path}?{report_query}">'
                      "your report page</A>.</P>"
             )
         if action == "ack":
@@ -232,4 +234,5 @@ class HostedTrackerService:
             return make_response(200, "<P>Marked as seen.</P>")
         if action == "report":
             return make_response(200, self.report_html(user))
-        return make_response(400, f"<P>unknown action {action!r}</P>")
+        return make_response(
+            400, f"<P>unknown action {encode_entities(repr(action))}</P>")

@@ -228,9 +228,10 @@ class WebAwareDiffer:
         """The merged page plus the web-aware addendum."""
         addendum_rows: List[str] = []
         for change in result.entity_changes:
+            href = encode_entities(change.url, quote=True)
             addendum_rows.append(
-                f'<LI><IMG SRC="{change.url}" ALT="[image]" HEIGHT=24> '
-                f'<A HREF="{change.url}">{encode_entities(change.url)}</A> '
+                f'<LI><IMG SRC="{href}" ALT="[image]" HEIGHT=24> '
+                f'<A HREF="{href}">{encode_entities(change.url)}</A> '
                 f"&#183; {encode_entities(change.detail)}"
             )
         for url, nested in result.nested.items():
@@ -239,7 +240,8 @@ class WebAwareDiffer:
             noun = ("difference" if nested.difference_count == 1
                     else "differences")
             addendum_rows.append(
-                f'<LI><A HREF="{url}">{encode_entities(url)}</A> &#183; '
+                f'<LI><A HREF="{encode_entities(url, quote=True)}">'
+                f"{encode_entities(url)}</A> &#183; "
                 f"referenced page changed "
                 f"({nested.difference_count} {noun})"
             )

@@ -217,7 +217,8 @@ class SnapshotService:
         links = self._action_links(url, user)
         body = (
             "<HTML><HEAD><TITLE>Remembered</TITLE></HEAD><BODY>"
-            f"<H1>Snapshot taken</H1><P><A HREF=\"{url}\">"
+            f"<H1>Snapshot taken</H1>"
+            f"<P><A HREF=\"{encode_entities(url, quote=True)}\">"
             f"{encode_entities(url)}</A>: {verdict} "
             f"({result.fetched_bytes} bytes retrieved).</P>{links}"
             "</BODY></HTML>"
@@ -240,30 +241,29 @@ class SnapshotService:
 
     def _history(self, user: str, url: str) -> Response:
         padding = self.keepalive.padding(self.costs.cheap)
-        rows = []
         history = self.store.history(user, url)
+        # _link's bytes with the URL and user escaped once per page;
+        # revision numbers are dotted decimals and need no escaping.
+        script = self.script_path
+        query_url = encode_query_string({"url": url})
+        query_user = "&" + encode_query_string({"user": user}) if user else ""
+        rows = []
         for info, seen_by_user in reversed(history):
-            view_link = self._link(
-                {"action": "view", "url": url, "rev": info.number},
-                f"view {info.number}",
-            )
+            number = info.number
             marker = " &#183; <B>seen by you</B>" if seen_by_user else ""
-            row = (
-                f"<LI>{info.number} &#183; {info.date_string} &#183; "
-                f"{encode_entities(info.author)}{marker} &#183; {view_link}"
+            rows.append(
+                f"<LI>{number} &#183; {info.date_string} &#183; "
+                f"{encode_entities(info.author)}{marker} &#183; "
+                f'<A HREF="{script}?action=view&{query_url}&rev={number}">'
+                f"[view {number}]</A>"
             )
-            rows.append(row)
         # Pairwise diff links between consecutive revisions.
         numbers = [info.number for info, _ in history]
-        pair_links = []
-        for older, newer in zip(numbers, numbers[1:]):
-            pair_links.append(
-                self._link(
-                    {"action": "diff", "url": url, "user": user,
-                     "r1": older, "r2": newer},
-                    f"diff {older} &rarr; {newer}",
-                )
-            )
+        pair_links = [
+            f'<A HREF="{script}?action=diff&{query_url}{query_user}'
+            f'&r1={older}&r2={newer}">[diff {older} &rarr; {newer}]</A>'
+            for older, newer in zip(numbers, numbers[1:])
+        ]
         pairs_html = (
             "<P>Compare: " + " | ".join(pair_links) + "</P>" if pair_links else ""
         )

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
+from ...html.entities import encode_entities
 from ...html.lexer import Tag, tokenize_html
 from ...lru import LruCache
 from ...obs import NOOP as NOOP_OBS
@@ -95,13 +96,18 @@ def add_base_directive(html: str, original_url: str) -> str:
     to a different URL, which mostly addresses this problem."  The
     directive goes right after ``<HEAD>`` when present, else at the
     front.  An existing BASE is left alone — the page author knew
-    better.
+    better.  The URL is entity-escaped, so a hostile one cannot close
+    the attribute and inject markup.
     """
-    for node in tokenize_html(html):
-        if isinstance(node, Tag) and node.name == "BASE" and not node.closing:
-            return html
-    base = f'<BASE HREF="{original_url}">'
     lower = html.lower()
+    # A tag name is ASCII, so a page whose lowercase text has no "base"
+    # has no BASE tag and need not be lexed.
+    if "base" in lower:
+        for node in tokenize_html(html):
+            if (isinstance(node, Tag) and node.name == "BASE"
+                    and not node.closing):
+                return html
+    base = f'<BASE HREF="{encode_entities(original_url, quote=True)}">'
     idx = lower.find("<head")
     if idx != -1:
         end = html.find(">", idx)

@@ -37,15 +37,17 @@ from typing import Dict, Hashable, Optional, Tuple
 from ..lru import LruCache
 from ..web.http import Response
 
-__all__ = ["ResponseCache", "cacheable_key"]
+__all__ = ["ResponseCache", "cacheable_key", "copy_response"]
 
 
-def cacheable_key(params: Dict[str, str]) -> Optional[Tuple]:
+def cacheable_key(params: Dict[str, str], url: str,
+                  accept_datetime: str = "") -> Optional[Tuple]:
     """The cache identity of a request, or None when it must not be
-    cached.  The key carries a ``volatile`` flag (date-resolved views)
-    used for per-URL invalidation."""
+    cached.  ``url`` is the request's canonical URL and
+    ``accept_datetime`` its Accept-Datetime header (TimeGate only).
+    The key carries a ``volatile`` flag (date-resolved views) used for
+    per-URL invalidation."""
     action = params.get("action", "")
-    url = params.get("url", "")
     if not url:
         return None
     if action == "view":
@@ -67,17 +69,16 @@ def cacheable_key(params: Dict[str, str]) -> Optional[Tuple]:
             return ("memento", url, str(rev), False)
         return None
     if action == "timegate":
-        # The negotiated target lives in the Accept-Datetime *header*;
-        # the server folds it into params as ``accept_datetime`` before
-        # asking for a key (absent header ≠ any dated request).
+        # The negotiated target lives in the Accept-Datetime *header*
+        # (absent header ≠ any dated request).
         return ("timegate", url, params.get("policy") or "",
-                params.get("accept_datetime", ""), True)
+                accept_datetime, True)
     if action == "timemap":
         return ("timemap", url, params.get("format", "link"), True)
     return None
 
 
-def _copy_response(response: Response) -> Response:
+def copy_response(response: Response) -> Response:
     """Responses are handed to transport code that may mutate them
     (HEAD handling blanks bodies); never share the cached object."""
     return Response(status=response.status, headers=response.headers.copy(),
@@ -90,9 +91,13 @@ class ResponseCache(LruCache[Response]):
     def __init__(self, capacity: int = 512) -> None:
         super().__init__(capacity)
 
-    def get(self, key: Hashable) -> Optional[Response]:
+    def get(self, key: Hashable, copy: bool = True) -> Optional[Response]:
+        """A copy of the cached response.  The copying default is
+        deliberate: no caller can share the cached object by accident.
+        ``copy=False`` returns the shared entry, for a caller that may
+        drop it unused (a shed hit) and copies it before handing out."""
         entry = super().get(key)
-        return None if entry is None else _copy_response(entry)
+        return entry if entry is None or not copy else copy_response(entry)
 
     def put(self, key: Hashable, response: Response) -> None:
         # Only successful pages — plus the TimeGate's 302, which is a
@@ -100,7 +105,7 @@ class ResponseCache(LruCache[Response]):
         # error pages are cheap to regenerate and may reflect transient
         # state.
         if response.status in (200, 302):
-            super().put(key, _copy_response(response))
+            super().put(key, copy_response(response))
 
     def invalidate_url(self, url: str, volatile_only: bool = True) -> int:
         """Drop cached entries for ``url``.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from typing import Dict, List, Tuple, Union
 
-from ..obs import NOOP as NOOP_OBS
+from ..obs import NOOP as NOOP_OBS, NOOP_GAUGE
 
 __all__ = ["Admission", "Rejection", "WorkerPool"]
 
@@ -143,6 +143,9 @@ class WorkerPool:
         return Admission(worker=worker, start=start, finish=finish)
 
     def _update_gauges(self, now: int) -> None:
+        # With obs off nobody can read the busy-worker recount.
+        if self._g_busy is NOOP_GAUGE:
+            return
         self._g_depth.set(len(self._queued_starts))
         self._g_busy.set(self.busy_workers(now))
 

@@ -52,7 +52,7 @@ from ..web.cgi import request_params
 from ..web.client import UserAgent
 from ..web.http import Request, Response, make_response
 from ..web.url import canonical_url
-from .cache import ResponseCache, cacheable_key
+from .cache import ResponseCache, cacheable_key, copy_response
 from .pool import Admission, Rejection, WorkerPool
 from .replication import ReplicationManager, ShardFaultPlan
 
@@ -228,16 +228,26 @@ class DiffServer:
             shard_index = self._shard_index(url)
         cache = self.response_caches[shard_index]
         pool = self.pools[shard_index]
-        key = self._cache_key(params, url, request)
+        canonical = canonical_url(url)
+        accept_datetime = ""
+        if action == "timegate":
+            # Datetime negotiation varies on a header, not a query
+            # parameter; fold it into the key so two targets never
+            # share a cached 302 (exactly what Vary: accept-datetime
+            # tells a real shared cache).
+            accept_datetime = request.headers.get(ACCEPT_DATETIME, "") or ""
+        key = cacheable_key(params, canonical, accept_datetime)
 
-        cached = cache.get(key) if key is not None else None
+        # The shared entry itself: it is copied only once the request
+        # is admitted, so a shed hit costs a lookup and no copy.
+        cached = cache.get(key, copy=False) if key is not None else None
         if cached is not None:
             self.cache_hits += 1
             self._c_cache_hits.inc()
         elif key is not None:
             self._c_cache_misses.inc()
 
-        cost = self._cost(action, params, shard_index,
+        cost = self._cost(action, params, canonical, shard_index,
                           cache_hit=cached is not None)
         if self.replicator is not None:
             cost *= self.replicator.slow_factor[shard_index]
@@ -256,12 +266,12 @@ class DiffServer:
             # copy are converged before the response leaves.
             self.replicator.on_read(url, shard_index)
         if cached is not None:
-            return cached, schedule
+            return copy_response(cached), schedule
         response = self.services[shard_index](request, now, params=params)
         if key is not None:
             cache.put(key, response)
         if mutates:
-            cache.invalidate_url(canonical_url(url))
+            cache.invalidate_url(canonical)
             if self.replicator is not None:
                 self.replicator.on_write(url, shard_index)
             self._note_mutation()
@@ -306,22 +316,6 @@ class DiffServer:
         self.store._c_routes[index].inc()
         return index
 
-    def _cache_key(self, params: Dict[str, str], url: str,
-                   request: Optional[Request] = None):
-        if not url:
-            return None
-        canonical = dict(params)
-        canonical["url"] = canonical_url(url)
-        if canonical.get("action") == "timegate" and request is not None:
-            # Datetime negotiation varies on a header, not a query
-            # parameter; fold it into the key so two targets never
-            # share a cached 302 (exactly what Vary: accept-datetime
-            # tells a real shared cache).
-            canonical["accept_datetime"] = request.headers.get(
-                ACCEPT_DATETIME, ""
-            ) or ""
-        return cacheable_key(canonical)
-
     @staticmethod
     def _mutates(action: str, params: Dict[str, str]) -> bool:
         """Could this action check a new revision in?  ``remember``
@@ -333,8 +327,8 @@ class DiffServer:
             return params.get("r2") is None
         return False
 
-    def _cost(self, action: str, params: Dict[str, str], shard_index: int,
-              cache_hit: bool) -> int:
+    def _cost(self, action: str, params: Dict[str, str], canonical: str,
+              shard_index: int, cache_hit: bool) -> int:
         """Simulated worker-seconds one request occupies a worker.
 
         The response cache turns any request into a memory read; a
@@ -351,10 +345,8 @@ class DiffServer:
             r1, r2 = params.get("r1"), params.get("r2")
             if r1 is not None and r2 is not None:
                 store = self.store.shards[shard_index]
-                shared_key = diff_cache_key(
-                    canonical_url(params.get("url", "")), r1, r2,
-                    store.diff_options,
-                )
+                shared_key = diff_cache_key(canonical, r1, r2,
+                                            store.diff_options)
                 if shared_key in store.diff_cache:
                     return costs.cheap
                 return costs.htmldiff

@@ -31,32 +31,34 @@ class TestMementoCacheKeys:
 
     def test_memento_is_cacheable_and_immutable(self):
         key = cacheable_key({"action": "memento", "url": self.URL,
-                             "rev": "1.2"})
+                             "rev": "1.2"}, self.URL)
         assert key == ("memento", self.URL, "1.2", False)
 
     def test_timegate_is_cacheable_but_volatile(self):
-        key = cacheable_key({"action": "timegate", "url": self.URL,
-                             "accept_datetime": "100"})
+        key = cacheable_key({"action": "timegate", "url": self.URL},
+                            self.URL, accept_datetime="100")
         assert key is not None
         assert key[1] == self.URL and key[-1] is True
 
     def test_timegate_keys_differ_by_header_and_policy(self):
         base = {"action": "timegate", "url": self.URL}
         keys = {
-            cacheable_key(dict(base, accept_datetime="100")),
-            cacheable_key(dict(base, accept_datetime="200")),
-            cacheable_key(dict(base, accept_datetime="100",
-                               policy="nearest")),
-            cacheable_key(base),  # absent header: last-memento shortcut
+            cacheable_key(base, self.URL, accept_datetime="100"),
+            cacheable_key(base, self.URL, accept_datetime="200"),
+            cacheable_key(dict(base, policy="nearest"), self.URL,
+                          accept_datetime="100"),
+            cacheable_key(base, self.URL),  # absent header: last memento
         }
         assert len(keys) == 4
 
     def test_timemap_is_volatile(self):
-        key = cacheable_key({"action": "timemap", "url": self.URL})
+        key = cacheable_key({"action": "timemap", "url": self.URL},
+                            self.URL)
         assert key is not None and key[-1] is True
 
     def test_memento_without_rev_is_uncacheable(self):
-        assert cacheable_key({"action": "memento", "url": self.URL}) is None
+        assert cacheable_key({"action": "memento", "url": self.URL},
+                             self.URL) is None
 
 
 class TestShardedMemento:

@@ -12,16 +12,19 @@ URL = "http://site.com/page.html"
 
 class TestCacheableKey:
     def test_pinned_view_is_cacheable(self):
-        key = cacheable_key({"action": "view", "url": URL, "rev": "1.2"})
+        key = cacheable_key({"action": "view", "url": URL, "rev": "1.2"},
+                            URL)
         assert key == ("view", URL, "1.2", False)
 
     def test_date_view_is_cacheable_but_volatile(self):
-        key = cacheable_key({"action": "view", "url": URL, "date": "3600"})
+        key = cacheable_key({"action": "view", "url": URL, "date": "3600"},
+                            URL)
         assert key == ("view_at", URL, "3600", True)
 
     def test_pinned_diff_is_cacheable(self):
         key = cacheable_key({"action": "diff", "url": URL,
-                             "r1": "1.1", "r2": "1.3", "user": "f@x.com"})
+                             "r1": "1.1", "r2": "1.3", "user": "f@x.com"},
+                            URL)
         assert key == ("diff", URL, "1.1", "1.3", False)
 
     def test_everything_else_is_not(self):
@@ -35,7 +38,8 @@ class TestCacheableKey:
             {"action": "view", "rev": "1.1"},                     # no url
             {},
         ):
-            assert cacheable_key(params) is None, params
+            assert cacheable_key(params, params.get("url", "")) is None, \
+                params
 
 
 class TestResponseCache:
