@@ -22,6 +22,7 @@ from typing import List, Optional
 
 from ..core.w3newer.history import BrowserHistory
 from ..core.w3newer.hotlist import Hotlist
+from ..html.entities import decode_entities, encode_entities
 from ..html.lexer import Tag, tokenize_html
 from ..simclock import SimClock
 from ..web.client import UserAgent
@@ -38,7 +39,8 @@ def extract_bulletin(html: str) -> Optional[str]:
             and node.name == "META"
             and (node.attr("NAME") or "").lower() == "bulletin"
         ):
-            return node.attr("CONTENT")
+            content = node.attr("CONTENT")
+            return None if content is None else decode_entities(content)
     return None
 
 
@@ -108,10 +110,14 @@ class SmartMarks:
         user sees; note there is no pointer to *where* pages changed."""
         items = []
         for row in rows:
+            # URL, title, error and bulletin all come from outside
+            # (bookmarks, servers, pages): escaped before they are markup.
             flag = "<B>[changed]</B> " if row.changed else ""
-            bulletin = f"<BR><I>{row.bulletin}</I>" if row.bulletin else ""
-            error = f" ({row.error})" if row.error else ""
+            bulletin = (f"<BR><I>{encode_entities(row.bulletin)}</I>"
+                        if row.bulletin else "")
+            error = f" ({encode_entities(row.error)})" if row.error else ""
             items.append(
-                f'<LI>{flag}<A HREF="{row.url}">{row.title}</A>{error}{bulletin}'
+                f'<LI>{flag}<A HREF="{encode_entities(row.url, quote=True)}">'
+                f"{encode_entities(row.title)}</A>{error}{bulletin}"
             )
         return "<UL>" + "\n".join(items) + "</UL>"

@@ -16,6 +16,7 @@ and later retrieve differences.  Responsibilities:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
@@ -89,6 +90,10 @@ class DiffPage(NamedTuple):
     degraded: bool
 
 
+#: ``<head`` in any ASCII case (a tag name is ASCII).
+_HEAD_OPEN = re.compile("<head", re.IGNORECASE | re.ASCII)
+
+
 def add_base_directive(html: str, original_url: str) -> str:
     """Insert ``<BASE HREF=...>`` so relative links resolve.
 
@@ -99,18 +104,20 @@ def add_base_directive(html: str, original_url: str) -> str:
     better.  The URL is entity-escaped, so a hostile one cannot close
     the attribute and inject markup.
     """
-    lower = html.lower()
     # A tag name is ASCII, so a page whose lowercase text has no "base"
     # has no BASE tag and need not be lexed.
-    if "base" in lower:
+    if "base" in html.lower():
         for node in tokenize_html(html):
             if (isinstance(node, Tag) and node.name == "BASE"
                     and not node.closing):
                 return html
     base = f'<BASE HREF="{encode_entities(original_url, quote=True)}">'
-    idx = lower.find("<head")
-    if idx != -1:
-        end = html.find(">", idx)
+    # Searched in the page itself: lowercasing can change its length
+    # ("İ" becomes two code points), so an index into html.lower()
+    # may not point into html.
+    head = _HEAD_OPEN.search(html)
+    if head is not None:
+        end = html.find(">", head.start())
         if end != -1:
             return html[: end + 1] + base + html[end + 1:]
     return base + html

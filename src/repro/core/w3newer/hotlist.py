@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
-from ...html.entities import decode_entities
+from ...html.entities import decode_entities, encode_entities
 from ...html.lexer import Tag, Text, tokenize_html
 
 __all__ = ["HotlistEntry", "Hotlist"]
@@ -78,7 +78,7 @@ class Hotlist:
         def _flush_anchor() -> None:
             nonlocal current_anchor, anchor_words
             if current_anchor is not None:
-                href = current_anchor.attr("HREF")
+                href = decode_entities(current_anchor.attr("HREF") or "")
                 if href:
                     added_raw = current_anchor.attr("ADD_DATE")
                     try:
@@ -162,15 +162,17 @@ class Hotlist:
     # ------------------------------------------------------------------
     def to_netscape_html(self, title: str = "Bookmarks") -> str:
         """Serialize back to a Netscape bookmark file (round-trippable
-        for flat lists)."""
+        for flat lists).  URLs and titles are entity-escaped, so a
+        hostile bookmark cannot inject markup into the file."""
         items = []
         for entry in self.entries:
             add_date = f' ADD_DATE="{entry.added}"' if entry.added is not None else ""
             items.append(
-                f'<DT><A HREF="{entry.url}"{add_date}>'
-                f"{entry.display_title()}</A>"
+                f'<DT><A HREF="{encode_entities(entry.url, quote=True)}"'
+                f"{add_date}>{encode_entities(entry.display_title())}</A>"
             )
         body = "\n".join(items)
+        title = encode_entities(title)
         return (
             "<!DOCTYPE NETSCAPE-Bookmark-file-1>\n"
             f"<TITLE>{title}</TITLE>\n<H1>{title}</H1>\n<DL><P>\n"

@@ -18,7 +18,8 @@ addressed by an optional priority function (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...html.entities import encode_entities
 from ...simclock import format_timestamp
@@ -79,22 +80,12 @@ _GROUP_ORDER = {
 }
 
 
-def _aide_links(url: str, options: ReportOptions, user_query: str) -> str:
-    """The Remember / Diff / History trio (Section 6).  ``user_query``
-    is ``user=...``, encoded once per report; the actions need no
-    escaping, so the row's URL is the only value encoded here."""
-    head = f'<A HREF="{options.snapshot_base}?action='
-    tail = f'&{encode_query_string({"url": url})}&{user_query}">'
-    return (f"{head}remember{tail}[Remember]</A> "
-            f"{head}diff{tail}[Diff]</A> "
-            f"{head}history{tail}[History]</A>")
-
-
-def _sort_key(outcome: CheckOutcome, options: ReportOptions):
-    group = _GROUP_ORDER.get(outcome.state, 6)
-    priority = options.priority(outcome.url) if options.priority else 0.0
-    recency = outcome.modification_date or 0
-    return (group, -priority, -recency, outcome.url)
+#: Per state: (sort group, label, shown bold as new to the user).
+_ROW_STYLE: Dict[UrlState, Tuple[int, str, bool]] = {
+    state: (_GROUP_ORDER[state], _STATE_LABELS[state],
+            state in (UrlState.CHANGED, UrlState.NEVER_SEEN))
+    for state in UrlState
+}
 
 
 def render_report(
@@ -104,24 +95,57 @@ def render_report(
     now: Optional[int] = None,
     aborted: str = "",
     summary: Optional[Dict[str, object]] = None,
+    encoded_urls: Optional[Dict[str, str]] = None,
 ) -> str:
-    """The Figure 1 HTML report (plus an optional run-summary block)."""
-    options = options or ReportOptions()
-    titles = {entry.url: entry.display_title() for entry in entries}
-    user_query = encode_query_string({"user": options.user})
+    """The Figure 1 HTML report (plus an optional run-summary block).
 
+    One walk over the outcomes builds the sort keys and the header's
+    counts.  Each row's Remember / Diff / History links (Section 6)
+    share the row URL's query encoding, looked up in ``encoded_urls``
+    (``url`` → ``url=...``) and added there when missing: a tracker
+    passes one map per hotlist, so a URL is encoded once while it
+    stays bookmarked rather than once per report.
+    """
+    options = options or ReportOptions()
+    if encoded_urls is None:
+        encoded_urls = {}
+    titles = {entry.url: entry.display_title() for entry in entries}
+    priority = options.priority
+    keyed = []
+    changed = errors = stale = quarantined = 0
+    for outcome in outcomes:
+        state = outcome.state
+        style = _ROW_STYLE[state]
+        if style[2]:
+            changed += 1
+        elif state is UrlState.ERROR:
+            errors += 1
+        elif state is UrlState.STALE:
+            stale += 1
+        elif state is UrlState.QUARANTINED:
+            quarantined += 1
+        url = outcome.url
+        keyed.append(((style[0], -priority(url) if priority else 0.0,
+                       -(outcome.modification_date or 0), url),
+                      outcome, style))
+    keyed.sort(key=itemgetter(0))
+
+    # The actions need no escaping and the user is encoded once per
+    # report, so a link is head + action + the row's middle + tail.
+    head = f'<A HREF="{options.snapshot_base}?action='
+    tail = f'&{encode_query_string({"user": options.user})}">'
     rows: List[str] = []
-    for outcome in sorted(outcomes, key=lambda o: _sort_key(o, options)):
-        title = encode_entities(titles.get(outcome.url, outcome.url))
-        label = _STATE_LABELS.get(outcome.state, outcome.state.value)
+    for _key, outcome, (_group, label, new) in keyed:
+        url = outcome.url
+        state = outcome.state
         detail = ""
-        if outcome.modification_date is not None and outcome.is_new_to_user:
+        if outcome.modification_date is not None and new:
             detail = f" &#183; modified {format_timestamp(outcome.modification_date)}"
-        if outcome.state is UrlState.ERROR:
+        if state is UrlState.ERROR:
             detail = f" &#183; {encode_entities(outcome.error)}"
             if outcome.error_count > 1:
                 detail += f" ({outcome.error_count} consecutive errors)"
-        if outcome.state is UrlState.STALE:
+        elif state is UrlState.STALE:
             # Degraded mode: the verdict is the status cache's last
             # word; say so, and show how old that word is.
             detail = " &#183; <I>host unreachable; showing last known state"
@@ -129,7 +153,7 @@ def render_report(
                 detail += (f" (modified "
                            f"{format_timestamp(outcome.modification_date)})")
             detail += "</I>"
-        if outcome.state is UrlState.QUARANTINED:
+        elif state is UrlState.QUARANTINED:
             # The guard's verdict plus how many fetches have tripped —
             # the operator's cue for `aide quarantine list/retry`.
             detail = f" &#183; <I>{encode_entities(outcome.error)}"
@@ -142,20 +166,22 @@ def render_report(
             detail += (
                 f' &#183; moved to <A HREF="{moved_to}">{moved_to}</A>'
             )
-        strong_open, strong_close = ("<B>", "</B>") if outcome.is_new_to_user else ("", "")
-        href = encode_entities(outcome.url, quote=True)
+        query = encoded_urls.get(url)
+        if query is None:
+            query = encoded_urls[url] = encode_query_string({"url": url})
+        middle = f"&{query}{tail}"
+        title = encode_entities(titles.get(url, url))
+        href = encode_entities(url, quote=True)
+        row = f'<A HREF="{href}">{title}</A>'
+        if new:
+            row = f"<B>{row}</B>"
         rows.append(
-            f'<LI>{strong_open}<A HREF="{href}">{title}</A>{strong_close} '
-            f"&#151; {label}{detail}<BR>"
-            f"{_aide_links(outcome.url, options, user_query)}"
+            f"<LI>{row} &#151; {label}{detail}<BR>"
+            f"{head}remember{middle}[Remember]</A> "
+            f"{head}diff{middle}[Diff]</A> "
+            f"{head}history{middle}[History]</A>"
         )
 
-    changed = sum(1 for o in outcomes if o.is_new_to_user)
-    errors = sum(1 for o in outcomes if o.state is UrlState.ERROR)
-    stale = sum(1 for o in outcomes if o.state is UrlState.STALE)
-    quarantined = sum(
-        1 for o in outcomes if o.state is UrlState.QUARANTINED
-    )
     header_bits = [f"{len(outcomes)} URLs", f"{changed} changed"]
     if errors:
         header_bits.append(f"{errors} errors")

@@ -57,7 +57,9 @@ class CrawlCheckpoint:
     change the check set and break byte-identity with an uninterrupted
     run), every outcome already decided, the governor's virtual
     timeline, and the per-run robots verdicts so resuming does not
-    re-fetch robots.txt for hosts already asked.
+    re-fetch robots.txt for hosts already asked.  A change to the
+    hotlist's URLs drops the checkpoint: an edited hotlist restarts
+    cleanly.
     """
 
     hotlist_size: int
@@ -176,8 +178,12 @@ class W3Newer:
         #: offending bytes for `aide quarantine list/retry/purge`.
         self.guard = guard
         self.quarantine = quarantine
-        self._walk_urls: List[str] = []
-        self._walk_checks: List[ScheduledCheck] = []
+        #: Derived from the hotlist's URLs and rebuilt when they
+        #: change: the walk's checks, and each URL's query encoding
+        #: for the report's links (so bounded by the hotlist).
+        self._hotlist_urls: List[str] = []
+        self._walk_checks: Optional[List[ScheduledCheck]] = None
+        self._encoded_urls: Dict[str, str] = {}
         #: The last screening pass (PolicyDecisions for ``--explain``).
         self.last_schedule: Optional[CrawlSchedule] = None
         #: Governor/scheduling stats of the last run.
@@ -217,6 +223,12 @@ class W3Newer:
         :class:`CrawlCheckpoint` instead of restarting.
         """
         entries = list(self.hotlist)
+        urls = [entry.url for entry in entries]
+        if urls != self._hotlist_urls:
+            self._hotlist_urls = urls
+            self._walk_checks = None
+            self._encoded_urls = {}
+            self.checkpoint = None  # an edited hotlist restarts cleanly
         opts = self.crawl
         if opts is None:
             opts = CrawlOptions(workers=1)
@@ -234,8 +246,6 @@ class W3Newer:
         )
         checkpoint = self.checkpoint
         self.checkpoint = None
-        if checkpoint is not None and checkpoint.hotlist_size != len(entries):
-            checkpoint = None  # an edited hotlist restarts cleanly
         schedule: Optional[CrawlSchedule] = None
         if checkpoint is not None:
             pending = list(checkpoint.pending)
@@ -246,7 +256,7 @@ class W3Newer:
         elif opts.budget is None and opts.policy is SchedulePolicy.STATIC:
             # Nothing can be deferred: screening would only repeat the
             # ladder's work, so the ladder decides every URL.
-            pending = self._walk(entries)
+            pending = self._walk()
         else:
             schedule = build_schedule(
                 entries,
@@ -350,11 +360,11 @@ class W3Newer:
         }
         if opts.advance_clock and governor.makespan > 0:
             self.clock.advance(governor.makespan)
-        self._render_into(result)
+        self._render_into(result, entries)
         self.runs.append(result)
         return result
 
-    def _walk(self, entries: List[HotlistEntry]) -> List[ScheduledCheck]:
+    def _walk(self) -> List[ScheduledCheck]:
         """The whole hotlist in order, one check per distinct page.
 
         A page bookmarked twice is checked once; the later entries get
@@ -362,9 +372,9 @@ class W3Newer:
         them.  The checks are immutable, so runs share the list until
         the hotlist's URLs change.
         """
-        urls = [entry.url for entry in entries]
-        if urls == self._walk_urls:
+        if self._walk_checks is not None:
             return self._walk_checks
+        urls = self._hotlist_urls
         owners: Dict[str, int] = {}
         coalesced: Dict[int, List[int]] = {}
         for index, url in enumerate(urls):
@@ -372,7 +382,6 @@ class W3Newer:
             dups = coalesced.setdefault(owner, [])
             if owner != index:
                 dups.append(index)
-        self._walk_urls = urls
         self._walk_checks = [
             ScheduledCheck(index=index, url=urls[index], coalesced=tuple(dups))
             for index, dups in coalesced.items()
@@ -396,18 +405,20 @@ class W3Newer:
             # the URL's priority instead of re-spending budget on it.
             self.estimator.observe_miss(url, now)
 
-    def _render_into(self, result: RunResult) -> None:
+    def _render_into(self, result: RunResult,
+                     entries: List[HotlistEntry]) -> None:
         """Render the Figure-1 report into the result (if enabled)."""
         if not self.report_options.render:
             return
         result.report_html = render_report(
             result.outcomes,
-            list(self.hotlist),
+            entries,
             options=self.report_options,
             now=self.clock.now,
             aborted=result.aborted,
             summary=(self._run_summary(result)
                      if self.report_options.run_summary else None),
+            encoded_urls=self._encoded_urls,
         )
 
     # ------------------------------------------------------------------

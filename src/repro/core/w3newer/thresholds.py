@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
+from ...lru import LruCache
 from ...simclock import format_duration, parse_duration
 
 __all__ = ["ThresholdRule", "ThresholdConfig", "parse_threshold_config",
-           "TABLE1_CONFIG"]
+           "TABLE1_CONFIG", "FIRST_MATCH_MEMO_SIZE"]
 
 #: Table 1 verbatim (de-hyphenated from the two-column layout).  The
 #: comments are part of the artifact.
@@ -54,26 +55,42 @@ class ThresholdRule:
         return f"{self.pattern} {format_duration(self.threshold)}"
 
 
-class ThresholdConfig:
-    """Ordered rule list with a default; first match wins."""
+#: First-match memo entries per config (one per URL asked about).
+FIRST_MATCH_MEMO_SIZE = 1 << 15
 
-    def __init__(self, rules: List[ThresholdRule], default: int) -> None:
-        self.rules = rules
+
+class ThresholdConfig:
+    """Ordered rule list with a default; first match wins.
+
+    A URL's first matching rule depends only on the URL and the rules,
+    and a crawl asks about the same hotlist every night, so the answer
+    is memoized.  ``rules`` is a tuple, so the memo cannot go stale.
+    """
+
+    def __init__(self, rules: Sequence[ThresholdRule], default: int) -> None:
+        self.rules: Tuple[ThresholdRule, ...] = tuple(rules)
         self.default = default
+        #: url -> index of its first matching rule, len(rules) if none.
+        self._first_match: LruCache[int] = LruCache(FIRST_MATCH_MEMO_SIZE)
+
+    def _first(self, url: str) -> int:
+        index = self._first_match.get(url)
+        if index is None:
+            index = next((i for i, rule in enumerate(self.rules)
+                          if rule.matches(url)), len(self.rules))
+            self._first_match.put(url, index)
+        return index
 
     def threshold_for(self, url: str) -> int:
         """Threshold (seconds) applying to ``url``."""
-        for rule in self.rules:
-            if rule.matches(url):
-                return rule.threshold
-        return self.default
+        index = self._first(url)
+        return (self.rules[index].threshold if index < len(self.rules)
+                else self.default)
 
     def rule_for(self, url: str) -> Optional[ThresholdRule]:
         """The rule that decided (None when the default applied)."""
-        for rule in self.rules:
-            if rule.matches(url):
-                return rule
-        return None
+        index = self._first(url)
+        return self.rules[index] if index < len(self.rules) else None
 
     @classmethod
     def default_config(cls) -> "ThresholdConfig":

@@ -2,13 +2,16 @@
 
 * ``add_base_directive`` lexes a page only when its lowercase text
   contains ``base``; it must answer exactly as the version that always
-  lexes, over hostile documents and hand-made edge cases.
+  lexes, over hostile documents and hand-made edge cases.  It finds
+  ``<HEAD`` in the page itself, never in its lowercase copy, whose
+  length can differ: the BASE lands right after the lexer's HEAD tag.
 * The history page formats its links directly, escaping the URL and
   user once per page; it must be byte-identical to the page built one
   ``SnapshotService._link`` call per link, for hostile URLs and users.
 """
 
 import random
+import re
 
 import pytest
 
@@ -28,8 +31,8 @@ def lexer_only_base_directive(html: str, original_url: str) -> str:
         if isinstance(node, Tag) and node.name == "BASE" and not node.closing:
             return html
     base = f'<BASE HREF="{encode_entities(original_url, quote=True)}">'
-    lower = html.lower()
-    idx = lower.find("<head")
+    idx = re.search("<head", html, re.IGNORECASE | re.ASCII)
+    idx = idx.start() if idx else -1
     if idx != -1:
         end = html.find(">", idx)
         if end != -1:
@@ -61,6 +64,19 @@ EDGE_CASES = [
     "<P>ſ base</P><BAſE>",
 ]
 
+#: Text whose lowercase is longer than itself ("İ" lowers to two code
+#: points) before the HEAD tag: an index into ``html.lower()`` would
+#: point past the tag in ``html``.
+LENGTH_CHANGING = [
+    "İ" * 8 + "<HEAD>rest>more",
+    "<P>İİİ</P><head lang=tr>x</head>",
+    "<TITLE>İSTANBUL İZMİR</TITLE><HeAd>y",
+    "<!-- İ --><HEAD><P>İ>",
+    "İ<P>\u212a ſ İ</P><hEaD\n>z",
+    "İ" * 40 + "<HEAD><TITLE>database</TITLE></HEAD>",
+]
+EDGE_CASES += LENGTH_CHANGING
+
 
 def hostile_documents():
     docs = [doc.body for doc in hostile_corpus(90, seed=2217)]
@@ -91,6 +107,16 @@ def test_screened_base_directive_matches_the_lexer(url):
     for html in documents:
         assert add_base_directive(html, url) == \
             lexer_only_base_directive(html, url), html[:80]
+
+
+def test_base_lands_right_after_the_lexers_head_tag():
+    url = 'http://evil.example/x"><SCRIPT>&y=1'
+    base = f'<BASE HREF="{encode_entities(url, quote=True)}">'
+    for html in LENGTH_CHANGING:
+        head = next(node for node in tokenize_html(html)
+                    if isinstance(node, Tag) and node.name == "HEAD")
+        end = html.index(head.raw) + len(head.raw)
+        assert add_base_directive(html, url) == html[:end] + base + html[end:]
 
 
 # ----------------------------------------------------------------------

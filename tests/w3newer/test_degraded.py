@@ -4,7 +4,7 @@ differential guarantee (resilience off == resilience never existed)."""
 import pytest
 
 from repro.core.w3newer.errors import UrlState
-from repro.core.w3newer.hotlist import Hotlist
+from repro.core.w3newer.hotlist import Hotlist, HotlistEntry
 from repro.core.w3newer.runner import CrawlCheckpoint, W3Newer
 from repro.core.w3newer.thresholds import parse_threshold_config
 from repro.simclock import DAY, SimClock
@@ -182,6 +182,18 @@ class TestCheckpointResume:
         result = tracker.run()
         assert result.resumed_from is None
         assert len(result.outcomes) == 11
+
+    def test_same_size_edit_invalidates_the_checkpoint(self):
+        # Swapping one bookmark for another keeps the hotlist's size;
+        # the parked outcomes belong to the old list all the same.
+        clock, tracker = self.build_aborting_world(outage_end=2 * DAY)
+        tracker.run()
+        swapped = "http://site0.com/swapped.html"
+        tracker.hotlist.entries[0] = HotlistEntry(url=swapped)
+        clock.advance(3 * DAY)
+        result = tracker.run()
+        assert result.resumed_from is None
+        assert [o.url for o in result.outcomes] == tracker.hotlist.urls()
 
     def test_fresh_run_has_no_checkpoint(self):
         clock, network, agent = build_world()

@@ -196,3 +196,83 @@ class TestDefaultEquivalence:
         ):
             assert (with_default.threshold_for(url)
                     == with_catchall.threshold_for(url)), url
+
+
+class TestFirstMatchMemo:
+    """``threshold_for`` and ``rule_for`` share a memoized first-match
+    lookup; it must answer as a plain first-match loop would."""
+
+    HOSTILE = [
+        "", "http://", "file:", "HTTP://WWW.YAHOO.COM/",
+        "http://www.yahoo.com/\n", "http://www.yahoo.com/%2e%2e/",
+        "http://a.com:80/;params?q=1#frag", 'http://x/"><SCRIPT>',
+        "http://www․yahoo․com/", "http://info.att.com.evil/",
+        "http://www.unitedmedia.com/comics/dilbert",
+    ]
+
+    @staticmethod
+    def plain_first_match(config, url):
+        for rule in config.rules:
+            if rule.compiled.match(url):
+                return rule
+        return None
+
+    @staticmethod
+    def random_config(rng):
+        pieces = ["http://", "file:", r"www\.", r"a\.com", r"b\.org",
+                  r"host\d+\.example", "/", ".*", "[a-z]+", r"\d", "x?",
+                  "(dir|page)", "/p"]
+        specs = ["0", "12h", "1d", "7d", "never"]
+        lines = []
+        for _ in range(rng.randrange(0, 8)):
+            pattern = "".join(rng.choice(pieces)
+                              for _ in range(rng.randrange(1, 6)))
+            lines.append(f"{pattern} {rng.choice(specs)}")
+        if rng.random() < 0.7:
+            lines.insert(rng.randrange(len(lines) + 1),
+                         f"Default {rng.choice(specs)}")
+        return parse_threshold_config("\n".join(lines))
+
+    def urls(self):
+        from repro.workloads.crawlworld import build_crawl_world
+
+        world = build_crawl_world(urls=200, hosts=12, seed=23)
+        return list(world.urls) + self.HOSTILE + TestPerlDifferential.URLS
+
+    def test_memo_matches_a_plain_loop(self):
+        import random
+
+        rng = random.Random(2323)
+        configs = [parse_threshold_config(TABLE1_CONFIG)] + [
+            self.random_config(rng) for _ in range(40)]
+        urls = self.urls()
+        for config in configs:
+            # Twice: the second pass answers from the memo.
+            for _ in range(2):
+                for url in urls:
+                    rule = self.plain_first_match(config, url)
+                    assert config.rule_for(url) is rule, url
+                    expected = rule.threshold if rule else config.default
+                    assert config.threshold_for(url) == expected, url
+
+    def test_memo_is_bounded(self):
+        from repro.core.w3newer.thresholds import FIRST_MATCH_MEMO_SIZE
+
+        config = parse_threshold_config(TABLE1_CONFIG)
+        count = FIRST_MATCH_MEMO_SIZE + 500
+        for i in range(count):
+            config.threshold_for(f"http://host{i}.att.com/")
+            assert len(config._first_match) <= FIRST_MATCH_MEMO_SIZE
+        # Evicted URLs are still answered right.
+        assert config.threshold_for("http://host0.att.com/") == 0
+        assert config.threshold_for("http://www.yahoo.com/x") == 7 * DAY
+
+    def test_rules_cannot_be_mutated_in_place(self):
+        config = parse_threshold_config(TABLE1_CONFIG)
+        assert config.threshold_for("http://www.yahoo.com/") == 7 * DAY
+        with pytest.raises((TypeError, AttributeError)):
+            config.rules.append(config.rules[0])
+        with pytest.raises(TypeError):
+            config.rules[0] = config.rules[-1]
+        built = ThresholdConfig(rules=list(config.rules), default=DAY)
+        assert isinstance(built.rules, tuple)
