@@ -32,7 +32,7 @@ from ...web.http import NetworkError
 from ...web.url import canonical_url
 from ..htmldiff.api import html_diff
 from ..htmldiff.options import HtmlDiffOptions
-from ..htmldiff.tokenizer import tokenize_document
+from ..htmldiff.tokenizer import TokenStream, tokenize_document
 from .locking import LockManager, RequestCoalescer
 from .options import StoreOptions
 from .usercontrol import UserControl
@@ -180,10 +180,12 @@ class SnapshotStore:
         self.checkout_cache: LruCache[str] = LruCache(
             self.options.checkout_cache_size
         )
-        #: Per archive, ``(revision, caps, tokens)``: the HtmlDiff token
-        #: stream of the newest revision an unpinned Diff compared.  A
-        #: user who then Remembers makes that revision their next "old",
-        #: so their next Diff does not tokenize it again.  ``caps`` are
+        #: Per archive, ``(revision, caps, stream)``: the HtmlDiff
+        #: :class:`TokenStream` (tokens, source text, checkpoints) of the
+        #: newest revision an unpinned Diff compared.  A user who then
+        #: Remembers makes that revision their next "old", so their next
+        #: Diff does not tokenize it again, and tokenizes the new head
+        #: only where its text differs from the kept one.  ``caps`` are
         #: the guard's tokenizer caps (``None`` without a guard); a
         #: stream is reused only under the same caps.
         self.token_cache: LruCache[Tuple] = LruCache(
@@ -696,29 +698,42 @@ class SnapshotStore:
             budget = self.guard.html_budget(key)
             caps = (budget.max_tokens, budget.max_depth,
                     budget.max_attrs_per_tag)
-        old_tokens = self._tokens(key, rev_old, old_text, budget, caps)
-        new_tokens = self._tokens(key, rev_new, new_text, budget, caps)
+        old = self._tokens(key, rev_old, old_text, budget, caps)
+        # The new revision differs from the old one where the diff will
+        # find differences: tokenize only there.  A reference store
+        # (no token cache) tokenizes both texts whole.
+        new = self._tokens(key, rev_new, new_text, budget, caps,
+                           old if self.token_cache.capacity else None)
         if keep_new:
             # Only an unpinned Diff's head becomes a user's next "old";
             # a pinned pair would evict that stream for one never reused.
-            self.token_cache.put(key, (rev_new, caps, new_tokens))
+            self.token_cache.put(key, (rev_new, caps, new))
         result = html_diff(old_text, new_text, options=self.diff_options,
                            obs=self.obs, budget=budget,
-                           old_tokens=old_tokens, new_tokens=new_tokens)
+                           old_tokens=old.tokens, new_tokens=new.tokens)
         return DiffPage(result.html, result.identical,
                         result.difference_count, result.change_density,
                         result.degraded)
 
     def _tokens(self, key: str, revision: str, text: str, budget,
-                caps: Optional[Tuple]) -> List:
+                caps: Optional[Tuple],
+                base: Optional[TokenStream] = None) -> TokenStream:
         """``text``'s token stream: the kept one when it is of this
         revision under the same caps, else tokenized under a fresh
-        fork of ``budget`` (markup bombs raise here)."""
+        fork of ``budget`` (markup bombs raise here) where it differs
+        from ``base``, or from the kept stream of another revision
+        under the same caps."""
         kept = self.token_cache.get(key)
-        if kept is not None and kept[0] == revision and kept[1] == caps:
-            return kept[2]
-        return tokenize_document(
-            text, budget=budget.fork() if budget is not None else None)
+        if kept is not None and kept[1] == caps:
+            if kept[0] == revision:
+                return kept[2]
+            if base is None:
+                base = kept[2]
+        stream = TokenStream()
+        tokenize_document(
+            text, budget=budget.fork() if budget is not None else None,
+            kept=base, stream=stream)
+        return stream
 
     def _checkout_text(
         self, key: str, archive: RcsArchive, revision: Optional[str] = None

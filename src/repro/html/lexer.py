@@ -214,11 +214,18 @@ def tokenize_html(source: str, budget=None) -> List[Node]:
     return list(iter_nodes(source, budget=budget))
 
 
-def iter_nodes(source: str, budget=None) -> Iterator[Node]:
-    """Streaming form of :func:`tokenize_html`."""
+def iter_nodes(source: str, budget=None, start: int = 0) -> Iterator[Node]:
+    """Streaming form of :func:`tokenize_html`, from offset ``start``.
+
+    The lexer keeps no state but its offset, and its nodes cover the
+    source contiguously: lexing from the end of any node yields what
+    lexing the whole document yields from there on.  Nothing up to the
+    end of a tag is found by reading past that end, so two texts that
+    agree up to there lex alike up to there.
+    """
     find = source.find
     startswith = source.startswith
-    pos = 0
+    pos = start
     length = len(source)
     while pos < length:
         lt = find("<", pos)

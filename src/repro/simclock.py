@@ -129,24 +129,49 @@ def format_duration(seconds: int) -> str:
     return "".join(out)
 
 
+def _is_leap(year: int) -> bool:
+    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+
+
+def _days_from_civil(year: int, month: int, day: int) -> int:
+    """Days from 1 Jan 1970 to a proleptic Gregorian date, in closed
+    form (H. Hinnant's ``days_from_civil``): the year is counted from
+    March, so the leap day ends it, in 400-year eras of 146097 days."""
+    if month <= 2:
+        year -= 1
+    era = year // 400
+    year_of_era = year - era * 400
+    day_of_year = (153 * (month + (-3 if month > 2 else 9)) + 2) // 5 + day - 1
+    day_of_era = (year_of_era * 365 + year_of_era // 4 - year_of_era // 100
+                  + day_of_year)
+    return era * 146097 + day_of_era - 719468
+
+
+def _civil_from_days(days: int) -> Tuple[int, int, int]:
+    """The inverse of :func:`_days_from_civil` (``civil_from_days``)."""
+    days += 719468
+    era = days // 146097
+    day_of_era = days - era * 146097
+    year_of_era = (day_of_era - day_of_era // 1460 + day_of_era // 36524
+                   - day_of_era // 146096) // 365
+    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4
+                                - year_of_era // 100)
+    month_from_march = (5 * day_of_year + 2) // 153
+    day = day_of_year - (153 * month_from_march + 2) // 5 + 1
+    month = month_from_march + (3 if month_from_march < 10 else -9)
+    year = year_of_era + era * 400
+    if month <= 2:
+        year += 1
+    return year, month, day
+
+
+#: The epoch's day number from 1 Jan 1970.
+_EPOCH_DAYS = _days_from_civil(*_EPOCH_LABEL)
+
+
 def _civil_from_offset(days: int) -> Tuple[int, int, int]:
     """Convert a day offset from the epoch into (year, month, day)."""
-    year, month, day = _EPOCH_LABEL
-    # Walk forward a day at a time; simulations span months, not millennia.
-    while days > 0:
-        month_len = _MONTH_LENGTHS[month - 1]
-        if month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0):
-            month_len = 29
-        remaining_in_month = month_len - day
-        if days <= remaining_in_month:
-            return year, month, day + days
-        days -= remaining_in_month + 1
-        day = 1
-        month += 1
-        if month > 12:
-            month = 1
-            year += 1
-    return year, month, day
+    return _civil_from_days(_EPOCH_DAYS + days)
 
 
 def format_timestamp(ts: int) -> str:
@@ -189,30 +214,14 @@ def timestamp_from_civil(
         return None
     if hours > 23 or minutes > 59 or seconds > 59:
         return None
-    if min(hours, minutes, seconds, day) < 0:
+    if min(hours, minutes, seconds) < 0:
         return None
-    # Count days from the epoch (1 Sep 1995) to (year, month, day).
-    e_year, e_month, e_day = _EPOCH_LABEL
-    if (year, month, day) < (e_year, e_month, e_day):
+    if not 1 <= day <= _MONTH_LENGTHS[month - 1] + (
+            month == 2 and _is_leap(year)):
         return None
-    days = 0
-    y, m, d = e_year, e_month, e_day
-    while (y, m) != (year, month):
-        month_len = _MONTH_LENGTHS[m - 1]
-        if m == 2 and y % 4 == 0 and (y % 100 != 0 or y % 400 == 0):
-            month_len = 29
-        days += month_len - d + 1
-        d = 1
-        m += 1
-        if m > 12:
-            m = 1
-            y += 1
-    if day > (_MONTH_LENGTHS[month - 1] + (
-        1 if month == 2 and year % 4 == 0
-        and (year % 100 != 0 or year % 400 == 0) else 0
-    )):
+    days = _days_from_civil(year, month, day) - _EPOCH_DAYS
+    if days < 0:
         return None
-    days += day - d
     return days * DAY + hours * HOUR + minutes * MINUTE + seconds * SECOND
 
 

@@ -291,8 +291,9 @@ class HtmlBudget:
             max_work=self.max_work,
         )
 
-    def charge_token(self) -> None:
-        self.tokens += 1
+    def charge_token(self, count: int = 1) -> None:
+        """Charge ``count`` lexed nodes (a reused stretch in bulk)."""
+        self.tokens += count
         if self.max_tokens and self.tokens > self.max_tokens:
             raise TokenBomb(
                 self.url, f"more than {self.max_tokens} markup tokens"

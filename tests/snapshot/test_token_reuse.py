@@ -86,9 +86,9 @@ def tokenize_calls(monkeypatch):
     calls = []
     real = store_module.tokenize_document
 
-    def counting(source, budget=None):
+    def counting(source, budget=None, **splice):
         calls.append(source)
-        return real(source, budget=budget)
+        return real(source, budget=budget, **splice)
 
     monkeypatch.setattr(store_module, "tokenize_document", counting)
     return calls
@@ -138,7 +138,8 @@ def test_diff_then_remember_matches_reference(mode, tokenize_calls):
                 world.store.remember(USER, url(index))
     assert len(reference.store.token_cache) == 0
     for index in range(PAGES):
-        revision, caps, tokens = kept(fast.store, index)
+        revision, caps, stream = kept(fast.store, index)
+        tokens = stream.tokens
         archive = fast.store.archives[url(index)]
         assert revision == archive.head_revision
         assert caps is None
@@ -206,3 +207,84 @@ def test_markup_bomb_raises_on_a_miss():
     world.store.guard = ContentGuard(GuardLimits(max_nesting_depth=64))
     with pytest.raises(ContentGuardError):
         world.store.diff(USER, url(0), rev_old="1.2", rev_new="1.2")
+
+
+def shared_ends(before, after):
+    """How many leading and trailing tokens ``after`` shares (the same
+    objects) with ``before``."""
+    head = 0
+    while (head < min(len(before), len(after))
+           and after[head] is before[head]):
+        head += 1
+    tail = 0
+    while (tail < min(len(before), len(after)) - head
+           and after[-1 - tail] is before[-1 - tail]):
+        tail += 1
+    return head, tail
+
+
+def one_sentence_edit(body):
+    at = body.index(". ", len(body) // 2) + 2
+    return body[:at] + "A sentence nobody wrote before. " + body[at:]
+
+
+def test_one_sentence_edit_reuses_the_kept_tokens():
+    world = World(StoreOptions())
+    body = PageGenerator(seed=53).page(paragraphs=30, links=5)
+    world.origin.set_page("/page0.html", body)
+    world.store.remember(USER, url(0))
+    for _ in range(2):
+        world.clock.advance(HOUR)
+        body = one_sentence_edit(body)
+        world.origin.set_page("/page0.html", body)
+        previous = kept(world.store, 0)
+        world.store.diff(USER, url(0))
+        world.store.remember(USER, url(0))
+    before, after = previous[2].tokens, kept(world.store, 0)[2].tokens
+    head, tail = shared_ends(before, after)
+    assert head > len(before) // 3 and tail > len(before) // 3
+    # Only the edited paragraph's tokens are new objects.
+    assert head + tail >= len(after) - 10
+    text = world.store.archives[url(0)].checkout(kept(world.store, 0)[0])
+    assert [token_view(t) for t in after] == \
+        [token_view(t) for t in ref_tokenize_document(text)]
+
+
+def test_guarded_store_splices_and_a_bomb_in_the_window_raises():
+    limits = GuardLimits(max_nesting_depth=64)
+    world = World(StoreOptions(), guard=ContentGuard(limits))
+    reference = World(StoreOptions().reference(),
+                      guard=ContentGuard(limits))
+    body = PageGenerator(seed=59).page(paragraphs=20, links=5)
+    for each in (world, reference):
+        each.origin.set_page("/page0.html", body)
+        each.store.remember(USER, url(0))
+    for _ in range(2):
+        body = one_sentence_edit(body)
+        previous = kept(world.store, 0)
+        for each in (world, reference):
+            each.clock.advance(HOUR)
+            each.origin.set_page("/page0.html", body)
+        assert world.store.diff(USER, url(0)) == \
+            reference.store.diff(USER, url(0))
+        for each in (world, reference):
+            each.store.remember(USER, url(0))
+    entry = kept(world.store, 0)
+    assert entry[1] == (limits.max_tokens, limits.max_nesting_depth,
+                        limits.max_attrs_per_tag)
+    head, tail = shared_ends(previous[2].tokens, entry[2].tokens)
+    assert head > 0 and tail > 0
+    # Archive a tag bomb in the middle of the page with the guard off,
+    # then diff it against the kept revision under the same caps.
+    at = body.index("<P>", len(body) // 2)
+    world.store.guard = None
+    world.clock.advance(HOUR)
+    world.origin.set_page("/page0.html",
+                          body[:at] + "<DIV>" * 100 + "boom" + body[at:])
+    world.store.remember(USER, url(0))
+    world.store.guard = ContentGuard(limits)
+    assert kept(world.store, 0) is entry
+    with pytest.raises(ContentGuardError) as raised:
+        world.store.diff(USER, url(0), rev_old=entry[0],
+                         rev_new=world.store.archives[url(0)].head_revision)
+    assert raised.value.guard == "nesting-depth"

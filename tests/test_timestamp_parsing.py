@@ -1,9 +1,24 @@
 """Tests for HTTP-date parsing (the format_timestamp inverse)."""
 
+import datetime
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simclock import DAY, HOUR, MINUTE, format_timestamp, parse_timestamp
+from repro.simclock import (
+    _EPOCH_LABEL,
+    _MONTH_LENGTHS,
+    DAY,
+    HOUR,
+    MINUTE,
+    MONTH_NAMES,
+    _civil_from_offset,
+    format_timestamp,
+    parse_timestamp,
+    timestamp_from_civil,
+)
 from repro.web.http import Headers, Response
 
 
@@ -61,3 +76,88 @@ class TestResponseFallback:
 
     def test_absent_is_none(self):
         assert Response(200).last_modified is None
+
+
+# ----------------------------------------------------------------------
+# Closed-form day arithmetic against datetime.date and the old walk
+# ----------------------------------------------------------------------
+EPOCH = datetime.date(*_EPOCH_LABEL)
+WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+
+
+def walk_civil_from_offset(days):
+    """The month-at-a-time walk the closed form replaced."""
+    year, month, day = _EPOCH_LABEL
+    while days > 0:
+        month_len = _MONTH_LENGTHS[month - 1]
+        if month == 2 and year % 4 == 0 and (year % 100 != 0
+                                             or year % 400 == 0):
+            month_len = 29
+        remaining_in_month = month_len - day
+        if days <= remaining_in_month:
+            return year, month, day + days
+        days -= remaining_in_month + 1
+        day = 1
+        month += 1
+        if month > 12:
+            month = 1
+            year += 1
+    return year, month, day
+
+
+def oracle_timestamp(year, month, day):
+    """``timestamp_from_civil`` at midnight, by ``datetime.date``."""
+    try:
+        days = (datetime.date(year, month, day) - EPOCH).days
+    except ValueError:
+        return None
+    return days * DAY if days >= 0 else None
+
+
+class TestClosedFormDates:
+    def test_seeded_dates_match_datetime(self):
+        rng = random.Random(19950901)
+        last = (datetime.date(9999, 12, 31) - EPOCH).days
+        for days in [0, 1, last] + [rng.randrange(last + 1)
+                                    for _ in range(5000)]:
+            date = EPOCH + datetime.timedelta(days=days)
+            assert _civil_from_offset(days) == (date.year, date.month,
+                                                date.day)
+            assert timestamp_from_civil(date.year, date.month,
+                                        date.day) == days * DAY
+            assert format_timestamp(days * DAY + 3723) == (
+                f"{WEEKDAYS[date.weekday()]}, {date.day:02d} "
+                f"{MONTH_NAMES[date.month - 1]} {date.year} 01:02:03 GMT")
+
+    @pytest.mark.parametrize("year", [1996, 2000, 2100, 2400])
+    def test_leap_boundaries(self, year):
+        for month, day in ((2, 28), (2, 29), (2, 30), (3, 1), (12, 31),
+                           (1, 1)):
+            expected = oracle_timestamp(year, month, day)
+            assert timestamp_from_civil(year, month, day) == expected
+            if expected is not None:
+                assert _civil_from_offset(expected // DAY) == (year, month,
+                                                               day)
+        assert (timestamp_from_civil(year, 2, 29) is None) == (year == 2100)
+
+    def test_impossible_dates_are_none(self):
+        for year, month, day in ((1996, 2, 30), (2100, 2, 29), (1997, 4, 31),
+                                 (1997, 13, 1), (1997, 0, 10), (1997, 6, 0),
+                                 (1997, 6, -1), (1995, 8, 31), (1800, 1, 1),
+                                 (2001, 2, 29)):
+            assert timestamp_from_civil(year, month, day) is None
+            assert oracle_timestamp(year, month, day) is None
+
+    def test_beyond_year_9999_matches_the_walk(self):
+        rng = random.Random(7)
+        start = (datetime.date(9999, 12, 31) - EPOCH).days
+        for days in [start + 1, start + 59, start + 366] + [
+                start + rng.randrange(1, 400 * 366) for _ in range(40)]:
+            civil = _civil_from_offset(days)
+            assert civil == walk_civil_from_offset(days)
+            assert timestamp_from_civil(*civil) == days * DAY
+
+    def test_far_dates_take_no_time_per_year(self):
+        # The walk took ~27 ms for 9999-12-31; the closed form is flat.
+        assert timestamp_from_civil(10 ** 9, 12, 31) is not None
+        assert format_timestamp(10 ** 15).endswith(" GMT")
