@@ -90,7 +90,14 @@ def html_diff(
     tokenized again.  The snapshot store passes a revision's stream
     kept from an earlier diff this way.  They follow their documents:
     in ``MERGED_REVERSED`` they swap with ``old_html`` and ``new_html``.
-    The streams are only read, never changed.
+    The streams are only read, never changed (a sentence token fills
+    its ``html`` slot the first time it renders as common).
+
+    Per-token work is done only in the changed window: on the exact
+    fast lane the common prefix and suffix of the streams stay runs
+    (see :class:`ClassifiedDiff`) that are neither interned, solved,
+    classified nor walked, and render from each token's own ``html``.
+    The work budget still charges the whole streams.
     """
     options = options or HtmlDiffOptions()
     options.validate()
@@ -219,7 +226,7 @@ def _coarse_line_diff(
         entries.append(DiffEntry(EntryClass.OLD))
 
     diff = ClassifiedDiff(
-        entries=entries, old_count=len(old_lines), new_count=len(new_lines)
+        window=entries, old_count=len(old_lines), new_count=len(new_lines)
     )
     renderer = MergedPageRenderer(options)
     note = f"Showing a coarse line diff: {reason}."

@@ -9,12 +9,12 @@ are 'old' ('new')."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .matcher import TokenMatcher, match_tokens
+from .matcher import TokenMatcher, exact_weight
 from .options import HtmlDiffOptions
 from .tokens import SentenceToken, Token
 
@@ -42,37 +42,70 @@ class DiffEntry:
     old_token: Optional[Token] = None
     new_token: Optional[Token] = None
     weight: float = 0.0
+    #: A matched sentence pair whose contents are not identical — the
+    #: case where intra-sentence refinement highlights the edits.  Set
+    #: at construction: the counts and every renderer read it.
+    is_fuzzy_common: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_fuzzy_common(self) -> bool:
-        """A matched sentence pair whose contents are not identical —
-        the case where intra-sentence refinement highlights the edits."""
-        if self.cls is not EntryClass.COMMON:
-            return False
-        if not isinstance(self.old_token, SentenceToken):
-            return False
-        return self.old_token.key != self.new_token.key
+    def __post_init__(self) -> None:
+        self.is_fuzzy_common = (
+            self.cls is EntryClass.COMMON
+            and isinstance(self.old_token, SentenceToken)
+            and self.old_token.key != self.new_token.key
+        )
 
 
 @dataclass
 class ClassifiedDiff:
     """The complete classification plus summary statistics.
 
-    The statistics are counted in one walk over ``entries``, the first
-    time any of them is read, and kept: the entries never change once
-    classified.
+    Held as runs: the first ``prefix`` tokens of both documents are
+    common, pairwise and in order, and so are the last ``suffix``;
+    ``window`` holds the entries for everything between.  Those runs
+    are plain common matches (equal keys), so every statistic is
+    counted in one walk over the window, the first time one is read.
+    ``entries``, the whole walk, is built only when it is read.
     """
 
-    entries: List[DiffEntry]
+    window: List[DiffEntry]
     old_count: int
     new_count: int
+    prefix: int = 0
+    suffix: int = 0
+    #: The documents' token streams; the runs are read from them.
+    old_tokens: Sequence[Token] = ()
+    new_tokens: Sequence[Token] = ()
+
+    @property
+    def common_prefix(self) -> Sequence[Token]:
+        """The new document's tokens in the leading common run."""
+        return self.new_tokens[:self.prefix]
+
+    @property
+    def common_suffix(self) -> Sequence[Token]:
+        """The new document's tokens in the trailing common run."""
+        return self.new_tokens[len(self.new_tokens) - self.suffix:]
+
+    @cached_property
+    def entries(self) -> List[DiffEntry]:
+        """Every entry of the walk, the runs included."""
+        old, new = self.old_tokens, self.new_tokens
+
+        def run(i: int, j: int, length: int) -> List[DiffEntry]:
+            return [DiffEntry(EntryClass.COMMON, old[i + k], new[j + k],
+                              exact_weight(new[j + k]))
+                    for k in range(length)]
+
+        return (run(0, 0, self.prefix) + self.window
+                + run(len(old) - self.suffix, len(new) - self.suffix,
+                      self.suffix))
 
     @cached_property
     def _counts(self) -> Tuple[int, int, int, int]:
         """(old entries, new entries, fuzzy commons, changed regions)."""
         old = new = fuzzy = regions = 0
         in_change = False
-        for entry in self.entries:
+        for entry in self.window:
             cls = entry.cls
             if cls is EntryClass.OLD:
                 old += 1
@@ -89,8 +122,12 @@ class ClassifiedDiff:
         return old, new, fuzzy, regions
 
     @property
+    def total_entries(self) -> int:
+        return self.prefix + len(self.window) + self.suffix
+
+    @property
     def common_entries(self) -> int:
-        return len(self.entries) - self.changed_entries
+        return self.total_entries - self.changed_entries
 
     @property
     def old_entries(self) -> int:
@@ -114,7 +151,7 @@ class ClassifiedDiff:
         """Fraction of entries carrying a change — old, new, or fuzzily
         matched (Section 5.3's "changes too numerous to display"
         metric)."""
-        total = len(self.entries)
+        total = self.total_entries
         if total == 0:
             return 0.0
         old, new, fuzzy, _regions = self._counts
@@ -132,18 +169,26 @@ def classify_documents(
     options: HtmlDiffOptions = None,
     matcher: TokenMatcher = None,
 ) -> ClassifiedDiff:
-    """Match the token streams and interleave them into diff entries."""
-    matches = match_tokens(old_tokens, new_tokens, options=options, matcher=matcher)
-    entries: List[DiffEntry] = []
-    old_pos = new_pos = 0
+    """Match the token streams and interleave them into diff entries.
+
+    Entries are made only for the window between the common runs the
+    matcher reports (:meth:`TokenMatcher.match_runs`).
+    """
+    if matcher is None:
+        matcher = TokenMatcher(options)
+    prefix, matches, suffix = matcher.match_runs(old_tokens, new_tokens)
+    old_end = len(old_tokens) - suffix
+    new_end = len(new_tokens) - suffix
+    window: List[DiffEntry] = []
+    old_pos = new_pos = prefix
     for i, j, weight in matches:
         while old_pos < i:
-            entries.append(DiffEntry(EntryClass.OLD, old_token=old_tokens[old_pos]))
+            window.append(DiffEntry(EntryClass.OLD, old_token=old_tokens[old_pos]))
             old_pos += 1
         while new_pos < j:
-            entries.append(DiffEntry(EntryClass.NEW, new_token=new_tokens[new_pos]))
+            window.append(DiffEntry(EntryClass.NEW, new_token=new_tokens[new_pos]))
             new_pos += 1
-        entries.append(
+        window.append(
             DiffEntry(
                 EntryClass.COMMON,
                 old_token=old_tokens[i],
@@ -152,14 +197,18 @@ def classify_documents(
             )
         )
         old_pos, new_pos = i + 1, j + 1
-    while old_pos < len(old_tokens):
-        entries.append(DiffEntry(EntryClass.OLD, old_token=old_tokens[old_pos]))
+    while old_pos < old_end:
+        window.append(DiffEntry(EntryClass.OLD, old_token=old_tokens[old_pos]))
         old_pos += 1
-    while new_pos < len(new_tokens):
-        entries.append(DiffEntry(EntryClass.NEW, new_token=new_tokens[new_pos]))
+    while new_pos < new_end:
+        window.append(DiffEntry(EntryClass.NEW, new_token=new_tokens[new_pos]))
         new_pos += 1
     return ClassifiedDiff(
-        entries=entries,
+        window=window,
         old_count=len(old_tokens),
         new_count=len(new_tokens),
+        prefix=prefix,
+        suffix=suffix,
+        old_tokens=old_tokens,
+        new_tokens=new_tokens,
     )

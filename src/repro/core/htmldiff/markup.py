@@ -20,43 +20,21 @@ document:
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Sequence
 
 from ...html.entities import encode_entities
 from .classify import ClassifiedDiff, DiffEntry, EntryClass
 from .options import HtmlDiffOptions
-from .tokens import BreakToken, SentenceItem, SentenceToken
+from .tokens import (BreakToken, SentenceItem, SentenceToken, render_items,
+                     render_sentence_source)
 
 __all__ = ["MergedPageRenderer", "render_sentence_source"]
 
-
-def _joiner(sentence: SentenceToken) -> str:
-    return "\n" if sentence.preformatted else " "
-
-
-def _render_items(items: Sequence[SentenceItem], joiner: str,
-                  open_: str = "", close: str = "") -> str:
-    """Items re-emitted as HTML: markups raw, each maximal run of words
-    re-escaped and wrapped in ``open_``/``close``.  Escaping is per
-    character, so a run escapes in one call."""
-    pieces: List[str] = []
-    run: List[str] = []
-    for item in items:
-        if type(item) is str:
-            run.append(item)
-            continue
-        if run:
-            pieces.append(f"{open_}{encode_entities(joiner.join(run))}{close}")
-            run = []
-        pieces.append(item.raw)
-    if run:
-        pieces.append(f"{open_}{encode_entities(joiner.join(run))}{close}")
-    return joiner.join(pieces)
-
-
-def render_sentence_source(sentence: SentenceToken) -> str:
-    """A sentence re-emitted as HTML: markups raw, words re-escaped."""
-    return _render_items(sentence.items, _joiner(sentence))
+#: The opening of a BODY tag, in any ASCII case.  Searched in the page
+#: itself: an index into ``page.lower()`` can point elsewhere, because
+#: lowering some characters (``İ``) changes the length.
+_BODY_RE = re.compile(r"<body", re.IGNORECASE | re.ASCII)
 
 
 class MergedPageRenderer:
@@ -124,18 +102,18 @@ class MergedPageRenderer:
     def _emphasized(self, items: Sequence[SentenceItem], joiner: str) -> str:
         # New markups stay live; new words are emphasized.  Emphasis
         # wraps maximal word runs so markup nesting stays legal.
-        return _render_items(items, joiner, self.options.new_open,
-                             self.options.new_close)
+        return render_items(items, joiner, self.options.new_open,
+                            self.options.new_close)
 
     def _render_old_sentence(self, sentence: SentenceToken) -> str:
-        return self._struck(sentence.items, _joiner(sentence))
+        return self._struck(sentence.items, sentence.joiner)
 
     def _render_new_sentence(self, sentence: SentenceToken) -> str:
-        return self._emphasized(sentence.items, _joiner(sentence))
+        return self._emphasized(sentence.items, sentence.joiner)
 
     def _render_common_sentence(self, entry: DiffEntry) -> str:
         if not entry.is_fuzzy_common or not self.options.refine_matched_sentences:
-            return render_sentence_source(entry.new_token)
+            return entry.new_token.html
         refined = self._render_refined(entry.old_token, entry.new_token)
         limit = self.options.max_interleave
         if limit and self._alternations(refined) > limit:
@@ -182,7 +160,7 @@ class MergedPageRenderer:
         # Same weighting as the matcher, so the rendered alignment is
         # the one the match weight was computed from.
         matches = weighted_lcs_pairs(old.items, new.items, _item_weight)
-        joiner = _joiner(new)
+        joiner = new.joiner
         pieces: List[str] = []
         old_pos = new_pos = 0
         # The end of both sentences closes the last unmatched stretch.
@@ -191,7 +169,7 @@ class MergedPageRenderer:
             pieces.append(self._struck(old.items[old_pos:i], joiner))
             pieces.append(self._emphasized(new.items[new_pos:j], joiner))
             if j < len(new.items):
-                pieces.append(_render_items(new.items[j:j + 1], joiner))
+                pieces.append(render_items(new.items[j:j + 1], joiner))
             old_pos, new_pos = i + 1, j + 1
         return joiner.join(piece for piece in pieces if piece)
 
@@ -201,12 +179,12 @@ class MergedPageRenderer:
     def render_merged(self, diff: ClassifiedDiff, note: str = "") -> str:
         """The default merged page (Figure 2's format)."""
         total = diff.difference_count
-        out: List[str] = []
+        out = [token.html for token in diff.common_prefix]
         region_index = 0
         in_change = False
         arrow_pending_side: Optional[bool] = None
 
-        for entry in diff.entries:
+        for entry in diff.window:
             changed = self._is_changed(entry)
             if changed and not in_change:
                 region_index += 1
@@ -230,6 +208,7 @@ class MergedPageRenderer:
             out.append(rendered)
         if arrow_pending_side is not None:
             out.append(self._arrow(region_index, total, arrow_pending_side))
+        out.extend(token.html for token in diff.common_suffix)
 
         body = self._join(out)
         if self.options.banner:
@@ -241,31 +220,28 @@ class MergedPageRenderer:
         material; no old content at all, hence no syntactic risk."""
         regions = 0
         in_new = False
-        for entry in diff.entries:
+        for entry in diff.window:
             is_new = entry.cls is EntryClass.NEW
             if is_new and not in_new:
                 regions += 1
             in_new = is_new
 
-        out: List[str] = []
+        out = [token.html for token in diff.common_prefix]
         index = 0
         in_new = False
-        for entry in diff.entries:
+        for entry in diff.window:
             if entry.cls is EntryClass.OLD:
                 in_new = False
                 continue
             is_new = entry.cls is EntryClass.NEW
-            rendered = (
-                render_sentence_source(entry.new_token)
-                if isinstance(entry.new_token, SentenceToken)
-                else entry.new_token.tag.raw or entry.new_token.normalized
-            )
+            rendered = entry.new_token.html
             if is_new and not in_new:
                 index += 1
                 arrow = self._arrow(index, regions, old_side=False)
                 rendered = f"{arrow} {rendered}"
             in_new = is_new
             out.append(rendered)
+        out.extend(token.html for token in diff.common_suffix)
         body = self._join(out)
         if self.options.banner:
             banner = self._banner_for_count(regions, note)
@@ -277,13 +253,15 @@ class MergedPageRenderer:
 
         "especially useful for very large documents but can be
         confusing because of the loss of surrounding common context."
+        Only the window is walked: the common runs around it show
+        nothing.
         """
         total = diff.difference_count
         out: List[str] = []
         region_index = 0
         in_change = False
         arrow_side: Optional[bool] = None
-        for entry in diff.entries:
+        for entry in diff.window:
             changed = self._is_changed(entry)
             if not changed:
                 if arrow_side is not None:
@@ -322,13 +300,10 @@ class MergedPageRenderer:
                 return None  # old markups are eliminated
             rendered = self._render_old_sentence(entry.old_token)
             return rendered or None
-        if entry.cls is EntryClass.NEW:
-            if isinstance(entry.new_token, BreakToken):
-                return entry.new_token.tag.raw or entry.new_token.normalized
-            return self._render_new_sentence(entry.new_token)
-        # COMMON
         if isinstance(entry.new_token, BreakToken):
-            return entry.new_token.tag.raw or entry.new_token.normalized
+            return entry.new_token.html
+        if entry.cls is EntryClass.NEW:
+            return self._render_new_sentence(entry.new_token)
         return self._render_common_sentence(entry)
 
     @staticmethod
@@ -353,10 +328,9 @@ class MergedPageRenderer:
     @staticmethod
     def _insert_banner(body: str, banner: str) -> str:
         """Splice the banner right after <BODY> when there is one."""
-        lower = body.lower()
-        idx = lower.find("<body")
-        if idx != -1:
-            end = body.find(">", idx)
+        found = _BODY_RE.search(body)
+        if found is not None:
+            end = body.find(">", found.start())
             if end != -1:
                 return body[: end + 1] + "\n" + banner + body[end + 1:]
         return banner + body

@@ -35,6 +35,8 @@ output-neutral — the differential tests prove it):
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress, count, islice
+from operator import is_not
 from typing import Dict, List, Sequence, Tuple
 
 from ...diffcore.anchor import anchored_lcs_pairs
@@ -42,11 +44,48 @@ from ...diffcore.lcs import canonicalize_pairs, weighted_lcs_pairs
 from .options import HtmlDiffOptions
 from .tokens import BreakToken, SentenceToken, Token
 
-__all__ = ["TokenMatcher", "match_tokens"]
+__all__ = ["TokenMatcher", "exact_weight", "match_tokens"]
+
+#: A window's runs: (common prefix length, the matches between the runs
+#: as (old_index, new_index, weight), common suffix length).
+Runs = Tuple[int, List[Tuple[int, int, float]], int]
 
 #: Small enough that no realistic number of presentational-markup
 #: matches (< 1e6 per sentence) outweighs one content match.
 _PRESENTATION_EPSILON = 1e-6
+
+
+def exact_weight(token: Token) -> float:
+    """The weight of a token matched with an equal-key token."""
+    if token.__class__ is BreakToken:
+        return 1.0
+    return float(token.length) or 0.5
+
+
+def _same_key(x: Token, y: Token) -> bool:
+    """Equal interning keys: what the solvers' affix trimming compares."""
+    return x.__class__ is y.__class__ and (
+        x.normalized == y.normalized if x.__class__ is BreakToken
+        else x.key == y.key)
+
+
+def _common_affixes(a: Sequence[Token], b: Sequence[Token]) -> Tuple[int, int]:
+    """``trim_common_affixes(a, b, _same_key)``, faster on spliced
+    streams: runs of shared token objects pass at C speed, and keys are
+    compared only where the objects differ."""
+    n, m = len(a), len(b)
+    prefix = min(n, m)
+    for i in compress(count(), map(is_not, a, b)):
+        if not _same_key(a[i], b[i]):
+            prefix = i
+            break
+    suffix = bound = min(n, m) - prefix
+    for k in compress(count(), map(is_not, islice(reversed(a), bound),
+                                   reversed(b))):
+        if not _same_key(a[n - 1 - k], b[m - 1 - k]):
+            suffix = k
+            break
+    return prefix, suffix
 
 
 def _item_weight(x, y) -> float:
@@ -76,6 +115,8 @@ class TokenMatcher:
         self.inner_lcs_runs = 0
         #: Identical-key pairs resolved without any item comparison.
         self.exact_lane_hits = 0
+        #: Tokens the exact fast lane interned: the changed window's.
+        self.interned_tokens = 0
 
     # ------------------------------------------------------------------
     def weight(self, a: Token, b: Token) -> float:
@@ -182,6 +223,24 @@ class TokenMatcher:
         alignment is a function of the inputs alone, not of which
         solver (or which speed optimization) produced it.
         """
+        prefix, pairs, suffix = self.match_runs(old_tokens, new_tokens)
+        n, m = len(old_tokens), len(new_tokens)
+        head = [(i, i, exact_weight(new_tokens[i])) for i in range(prefix)]
+        tail = [(n - suffix + k, m - suffix + k,
+                 exact_weight(new_tokens[m - suffix + k]))
+                for k in range(suffix)]
+        return head + pairs + tail
+
+    def match_runs(
+        self, old_tokens: Sequence[Token], new_tokens: Sequence[Token]
+    ) -> Runs:
+        """:meth:`match` as runs: ``(prefix, pairs, suffix)``.
+
+        The first ``prefix`` tokens of the streams match pairwise, and
+        so do the last ``suffix``; ``pairs`` are the matches between,
+        with indices into the whole streams.  The fast lane reports the
+        runs it never had to look at; the reference path reports none.
+        """
         self._cache = {}
         self._bags = {}
         if self.options.use_exact_fast_lane:
@@ -194,19 +253,33 @@ class TokenMatcher:
             )
         else:
             pairs = weighted_lcs_pairs(old_list, new_list, self.weight)
-        return canonicalize_pairs(old_list, new_list, pairs, key=_token_identity)
+        return 0, canonicalize_pairs(old_list, new_list, pairs,
+                                     key=_token_identity), 0
 
     def _match_interned(
         self, old_tokens: Sequence[Token], new_tokens: Sequence[Token]
-    ) -> List[Tuple[int, int, float]]:
-        """Run the LCS over interned token ids.
+    ) -> Runs:
+        """Run the LCS over interned token ids, in the changed window.
 
         Weight depends only on a token's normalized form (the memo has
         always been keyed that way), so equal-key tokens are
         interchangeable: mapping each distinct key to a small int makes
         the DP's equality test an int compare, the exact-match weight an
-        array lookup, and the fuzzy-pair memo an int-tuple dict.
+        array lookup, and the fuzzy-pair memo an int-pair dict.
+
+        Only the window is interned and solved.  The equal-key prefix
+        and suffix are trimmed first, exactly as the solvers trim them
+        (prefix first, suffix bounded by what the prefix left), so the
+        solvers see the core they would see in the whole streams and
+        return the same pairs.  Canonicalizing then cannot move a
+        prefix pair, moves a core pair only left within the core, and
+        moves a suffix pair only until one stays put: every later one
+        is the next position on both sides and stays too.  So only the
+        core and a doubling stretch of the suffix are canonicalized.
         """
+        n, m = len(old_tokens), len(new_tokens)
+        prefix, suffix = _common_affixes(old_tokens, new_tokens)
+        old_end, new_end = n - suffix, m - suffix
         # A break is keyed by its normalized string and a sentence by its
         # key tuple, so the two kinds never share an id.
         index: Dict[object, int] = {}
@@ -215,6 +288,7 @@ class TokenMatcher:
         exact_w: List[float] = []
 
         def intern(tokens: Sequence[Token]) -> List[int]:
+            self.interned_tokens += len(tokens)
             ids = []
             for token in tokens:
                 brk = token.__class__ is BreakToken
@@ -224,12 +298,12 @@ class TokenMatcher:
                     token_id = index[key] = len(reps)
                     reps.append(token)
                     is_break.append(brk)
-                    exact_w.append(1.0 if brk else float(token.length) or 0.5)
+                    exact_w.append(exact_weight(token))
                 ids.append(token_id)
             return ids
 
-        a_ids = intern(old_tokens)
-        b_ids = intern(new_tokens)
+        a_ids = intern(old_tokens[prefix:old_end])
+        b_ids = intern(new_tokens[prefix:new_end])
 
         pair_cache: Dict[Tuple[int, int], float] = {}
 
@@ -246,12 +320,32 @@ class TokenMatcher:
             return w
 
         if self.options.use_anchors:
-            pairs = anchored_lcs_pairs(a_ids, b_ids, pair_weight,
-                                       min_anchor_weight=1.0)
+            core = anchored_lcs_pairs(a_ids, b_ids, pair_weight,
+                                      min_anchor_weight=1.0)
         else:
-            pairs = weighted_lcs_pairs(a_ids, b_ids, pair_weight)
+            core = weighted_lcs_pairs(a_ids, b_ids, pair_weight)
         # Ids are their own keys, so canonicalization needs no key fn.
-        return canonicalize_pairs(a_ids, b_ids, pairs)
+        # Suffix pairs are equal-key, so one id list serves both sides.
+        stretch = min(suffix, 1)
+        tail_ids = intern(new_tokens[new_end:new_end + stretch])
+        while True:
+            tail = [(len(a_ids) + k, len(b_ids) + k, exact_w[tail_ids[k]])
+                    for k in range(stretch)]
+            pairs = canonicalize_pairs(a_ids + tail_ids, b_ids + tail_ids,
+                                       core + tail)
+            if stretch == suffix or pairs[-1] == tail[-1]:
+                break
+            grown = min(suffix, 2 * stretch)
+            tail_ids += intern(new_tokens[new_end + stretch:new_end + grown])
+            stretch = grown
+        # The suffix pairs that stayed put are a tail of the stretch;
+        # the rest of the suffix stays put too.
+        stayed = 0
+        while stayed < stretch and pairs[-1 - stayed] == tail[-1 - stayed]:
+            stayed += 1
+        window = [(prefix + i, prefix + j, w)
+                  for i, j, w in pairs[:len(pairs) - stayed]]
+        return prefix, window, suffix - stretch + stayed
 
 
 def _token_identity(token: Token) -> Tuple:

@@ -15,6 +15,13 @@ hundreds of thousands of words.  A sentence's ``key`` and ``length``
 are fixed when it is built, because the matcher and the renderer read
 them for every pair they look at.
 
+Every token also has ``html``, what the merged page shows for it when it
+is common: a break's source tag, a sentence's items re-emitted
+(:func:`render_sentence_source`).  A sentence derives it on first read
+and keeps it in a slot, so it lives and dies with the token: the
+snapshot store hands the same token objects from one Diff to the next,
+and a token that stays common renders once across all of them.
+
 Tokens are plain slotted records (:class:`repro.html.lexer.Record`),
 immutable by convention: a page builds hundreds of them per visit, and
 a frozen dataclass's ``__init__`` costs several times a plain one's.
@@ -22,12 +29,13 @@ a frozen dataclass's ``__init__`` costs several times a plain one's.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
+from ...html.entities import encode_entities
 from ...html.lexer import Record, Tag
 
 __all__ = ["InlineMarkup", "SentenceItem", "SentenceToken", "BreakToken",
-           "Token"]
+           "Token", "render_items", "render_sentence_source"]
 
 
 class InlineMarkup(Record):
@@ -63,16 +71,41 @@ class InlineMarkup(Record):
 SentenceItem = Union[str, InlineMarkup]
 
 
+def render_items(items: Sequence[SentenceItem], joiner: str,
+                 open_: str = "", close: str = "") -> str:
+    """Items re-emitted as HTML: markups raw, each maximal run of words
+    re-escaped and wrapped in ``open_``/``close``.  Escaping is per
+    character, so a run escapes in one call."""
+    pieces: List[str] = []
+    run: List[str] = []
+    for item in items:
+        if type(item) is str:
+            run.append(item)
+            continue
+        if run:
+            pieces.append(f"{open_}{encode_entities(joiner.join(run))}{close}")
+            run = []
+        pieces.append(item.raw)
+    if run:
+        pieces.append(f"{open_}{encode_entities(joiner.join(run))}{close}")
+    return joiner.join(pieces)
+
+
+def render_sentence_source(sentence: "SentenceToken") -> str:
+    """A sentence re-emitted as HTML: markups raw, words re-escaped."""
+    return render_items(sentence.items, sentence.joiner)
+
+
 class SentenceToken(Record):
     """A sentence: the fuzzy-matchable unit of comparison.
 
     ``preformatted`` is True when the sentence came from inside <PRE>:
     whitespace is content there and rendering must not re-flow it.
-    ``key`` and ``length`` are derived once, at construction, and take
-    no part in equality or repr.
+    ``key`` and ``length`` are derived once, at construction, and
+    ``html`` on first read; none takes part in equality or repr.
     """
 
-    __slots__ = ("items", "preformatted", "key", "length")
+    __slots__ = ("items", "preformatted", "key", "length", "html")
     _fields = __slots__[:2]
 
     def __init__(self, items: Tuple[SentenceItem, ...],
@@ -97,6 +130,21 @@ class SentenceToken(Record):
                         for item in items)
         self.key = key
         self.length = length
+
+    def __getattr__(self, name: str) -> str:
+        # Runs only while the ``html`` slot is unset: the first read
+        # fills it, and later reads are plain slot reads.  Derived on
+        # demand because most tokens of a fully tokenized page are
+        # never rendered as common (an old page's, for one).
+        if name != "html":
+            raise AttributeError(name)
+        self.html = html = render_sentence_source(self)
+        return html
+
+    @property
+    def joiner(self) -> str:
+        """What separates rendered items: a newline inside <PRE>."""
+        return "\n" if self.preformatted else " "
 
     @property
     def words(self) -> Tuple[str, ...]:
@@ -127,6 +175,10 @@ class BreakToken(Record):
     @property
     def key(self) -> Tuple:
         return (self.normalized,)
+
+    @property
+    def html(self) -> str:
+        return self.tag.raw or self.normalized
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.normalized

@@ -31,7 +31,11 @@ class Record:
     Equality (same type only), hash and repr cover ``_fields`` in
     order, as a frozen dataclass's would; a slot left out of
     ``_fields`` (a value derived at construction) takes no part.
-    Nothing may assign to a record after construction.
+    Nothing may assign to a record after construction, with one
+    exception: a derived slot may be filled on its first read
+    (``SentenceToken.html``), since a value that is a function of the
+    fields changes nothing a reader can see, and most records never
+    need it.
     """
 
     __slots__ = ()

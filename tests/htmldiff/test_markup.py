@@ -3,6 +3,7 @@
 import re
 
 from repro.core.htmldiff.api import html_diff
+from repro.core.htmldiff.markup import MergedPageRenderer
 from repro.core.htmldiff.options import HtmlDiffOptions, PresentationMode
 from repro.html.lexer import Tag, tokenize_html
 from repro.html.model import is_empty_tag
@@ -102,6 +103,30 @@ class TestMergedPage:
         result = html_diff(old, new, options)
         assert "<STRIKE>" not in result.html
         assert "red fox" in result.html  # new side rendered plain
+
+
+class TestBannerPlacement:
+    # "İ".lower() is two characters, so an index into the lowered page
+    # lands past the real <BODY>.
+    def test_banner_follows_body_when_lowering_changes_length(self):
+        body = "İ" * 8 + "<BODY>rest>more"
+        assert MergedPageRenderer._insert_banner(body, "B") == \
+            "İ" * 8 + "<BODY>\nBrest>more"
+
+    def test_banner_follows_body_after_a_dotted_capital_title(self):
+        head = "<HTML><HEAD><TITLE>" + "İ" * 8 + "</TITLE></HEAD>"
+        old = head + "<BODY><P>Old words here.</P></BODY></HTML>"
+        new = head + "<BODY><P>New words there.</P></BODY></HTML>"
+        for mode in (PresentationMode.MERGED, PresentationMode.NEW_ONLY):
+            html = html_diff(old, new, HtmlDiffOptions(mode=mode)).html
+            at = html.index("<BODY>") + len("<BODY>")
+            assert html[at:].startswith('\n<A NAME="aidediff0">'), html
+
+    def test_body_tag_in_any_case(self):
+        assert MergedPageRenderer._insert_banner("<p><bOdY class=x>t", "B") \
+            == "<p><bOdY class=x>\nBt"
+        assert MergedPageRenderer._insert_banner("<P>no body", "B") == \
+            "B<P>no body"
 
 
 class TestDensityFallback:

@@ -15,6 +15,8 @@ import sys
 
 import pytest
 
+import repro.core.htmldiff.api as api_module
+import repro.core.htmldiff.tokens as tokens_module
 import repro.core.snapshot.store as store_module
 from repro.core.htmldiff import HtmlDiffOptions, PresentationMode, html_diff
 from repro.core.htmldiff.tokens import SentenceToken
@@ -94,6 +96,29 @@ def tokenize_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def htmldiff_work(monkeypatch):
+    """Counts per-token HtmlDiff work: sentence renderings (a token's
+    ``html`` is derived by ``render_sentence_source``), and the matchers
+    ``html_diff`` makes, whose ``interned_tokens`` count the tokens the
+    exact fast lane interned."""
+    work = {"renders": 0, "matchers": []}
+    real = tokens_module.render_sentence_source
+
+    def counting(sentence):
+        work["renders"] += 1
+        return real(sentence)
+
+    class CountingMatcher(api_module.TokenMatcher):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            work["matchers"].append(self)
+
+    monkeypatch.setattr(tokens_module, "render_sentence_source", counting)
+    monkeypatch.setattr(api_module, "TokenMatcher", CountingMatcher)
+    return work
+
+
 def kept(store, index):
     return store.token_cache.get(url(index))
 
@@ -101,8 +126,11 @@ def kept(store, index):
 @pytest.mark.parametrize("mode", [PresentationMode.MERGED,
                                   PresentationMode.MERGED_REVERSED,
                                   PresentationMode.ONLY_DIFFERENCES])
-def test_diff_then_remember_matches_reference(mode, tokenize_calls):
+def test_diff_then_remember_matches_reference(mode, tokenize_calls,
+                                             htmldiff_work):
     versions = page_history(seed=41)
+    #: Per page, how many tokens the last Diff's streams did not share.
+    last_fresh = {}
     options = HtmlDiffOptions(mode=mode)
     fast = World(StoreOptions(), options)
     reference = World(StoreOptions().reference(), options)
@@ -117,8 +145,29 @@ def test_diff_then_remember_matches_reference(mode, tokenize_calls):
             old_rev = fast.store.users.last_seen_version(
                 USER, url(index)).revision
             before = len(tokenize_calls)
+            previous = kept(fast.store, index)
+            renders = htmldiff_work["renders"]
+            matchers = len(htmldiff_work["matchers"])
             fast_page = fast.store.diff(USER, url(index))
             fast_runs = len(tokenize_calls) - before
+            renders = htmldiff_work["renders"] - renders
+            interned = sum(matcher.interned_tokens for matcher
+                           in htmldiff_work["matchers"][matchers:])
+            if previous is not None:
+                # After the first visit, HtmlDiff's per-token work is
+                # bounded by the tokens the two streams do not share
+                # (the window), not by the page: only those are
+                # interned, and a sentence renders once, as a common
+                # token of this Diff or of the last one.
+                old_tokens = previous[2].tokens
+                new_tokens = kept(fast.store, index)[2].tokens
+                head, tail = shared_ends(old_tokens, new_tokens)
+                fresh = len(old_tokens) + len(new_tokens) - 2 * (head + tail)
+                assert interned <= fresh + 1, (round_no, index)
+                if index in last_fresh:
+                    assert renders <= fresh + last_fresh[index], \
+                        (round_no, index)
+                last_fresh[index] = fresh
             reference_page = reference.store.diff(USER, url(index))
             assert fast_page == reference_page, (round_no, index)
             # Both stores hand html_diff token streams; it must serve
