@@ -7,8 +7,9 @@ dies, recovery leaves zero cross-file invariant violations, and
 re-running the interrupted operation converges to a repository
 byte-identical to one that never crashed.
 
-Method, per operation (remember, batch check-in, diff-view, and
-remember under the deterministic scheduler):
+Method, per operation (remember, batch check-in, diff-view, remember
+under the deterministic scheduler, and the two persistence writes: a
+sync of a stamp made outside a transaction, and a compaction):
 
 1. **Probe**: run the operation cleanly with ``Failpoints.recording``
    on; the recorded trace enumerates every (point, hit) the operation
@@ -35,6 +36,7 @@ from repro.core.snapshot.journal import scan_journal
 from repro.core.snapshot.persistence import (
     JournalRecoveryWarning,
     append_store,
+    compact_store,
     load_store,
     verify_store,
 )
@@ -159,11 +161,33 @@ def _run_remember_scheduled(world):
     return proc.result
 
 
+def _prime_two_snapshots(world):
+    _prime_first_snapshot(world)
+    world.store.remember("tom@att.com", URL)
+
+
+def _stamp_outside_transaction(world):
+    """A seen stamp no transaction journals (a tracker's mark-seen)."""
+    world.store.users.record("ann@att.com", URL, "1.1", world.clock.now)
+
+
+def _run_sync(world):
+    _stamp_outside_transaction(world)
+    return append_store(world.store, world.repo)
+
+
+def _run_compact(world):
+    _stamp_outside_transaction(world)
+    return compact_store(world.store, world.repo)
+
+
 OPS = {
     "remember": (False, _prime_nothing, _run_remember),
     "checkin-batch": (False, _prime_nothing, _run_batch),
     "diff-view": (False, _prime_first_snapshot, _run_diff_view),
     "remember-sched": (True, _prime_nothing, _run_remember_scheduled),
+    "sync": (False, _prime_first_snapshot, _run_sync),
+    "compact": (False, _prime_two_snapshots, _run_compact),
 }
 
 

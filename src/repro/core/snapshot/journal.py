@@ -3,10 +3,11 @@
 ``save_store`` rewrites every ``,v`` file — O(total archive) per save,
 which is what caps a transactional archive's write throughput under
 load (the SiteStory finding).  The journal makes routine persistence
-O(new data): each *new* revision since the last sync is appended as one
-self-contained record, and a loader replays the records (in order,
-through the ordinary ``checkin`` path, which is deterministic) on top
-of the last compacted ``,v`` base to rebuild a byte-identical store.
+O(new data): each *new* revision and each new control-file stamp since
+the last sync is appended as one self-contained record, and a loader
+replays the records (in order, through the ordinary ``checkin`` path,
+which is deterministic) on top of the last compacted ``,v`` base and
+``users.ctl`` to rebuild a byte-identical store.
 
 Record shape: each record is one payload of the shared durable framed
 log (:mod:`repro.framedlog`), whose length+checksum **frame** lets a
@@ -34,6 +35,7 @@ carry a transaction through the log::
 
     seen\t<id>\t<quoted user>\t<quoted url>\t<revision>\t<when>
                                             -- one control-file stamp
+                                               (empty id: from a sync)
 
     commit\t<id>                            -- the commit marker
     abort\t<id>                             -- a clean rollback marker
@@ -42,9 +44,9 @@ A ``rev`` or ``seen`` record tagged with a transaction id only takes
 effect if that id's ``commit`` marker made it to disk;
 :func:`resolve_entries` computes the surviving effect set, and
 everything belonging to an uncommitted transaction is rolled back on
-replay.  Untagged ``rev`` records (every journal written before
-transactions existed) are unconditionally applied, so old journals
-read exactly as before.
+replay.  Untagged ``rev`` and ``seen`` records — what a routine sync
+appends for the check-ins and stamps made outside a transaction — are
+unconditionally applied.
 
 Reading comes in two flavors.  :func:`read_journal` is strict: any
 damage raises :class:`JournalError`.  :func:`scan_journal` never raises
@@ -274,9 +276,8 @@ def _read_intent(scanner: _Scanner) -> TxnIntent:
 
 
 def _read_seen(scanner: _Scanner) -> SeenRecord:
-    scanner.expect("seen")
-    scanner.skip("\t")
-    txn = scanner.read_field()
+    scanner.expect("seen\t")
+    txn = scanner.read_field()  # empty for a sync's untagged stamp
     scanner.skip("\t")
     user = scanner.read_string()
     scanner.skip("\t")
@@ -357,11 +358,11 @@ class ResolvedJournal:
     """The effect set that survives transaction resolution.
 
     ``revisions`` and ``seens`` hold, in journal order, every effect
-    record that should be replayed: untagged (legacy) revision records
-    plus records whose transaction committed.  ``rolled_back`` lists
-    transaction ids whose effects were discarded — ``aborted`` ones by
-    a clean abort marker, ``interrupted`` ones by a crash that beat
-    the commit marker to disk.
+    record that should be replayed: untagged records plus records whose
+    transaction committed.  ``rolled_back`` lists transaction ids whose
+    effects were discarded — ``aborted`` ones by a clean abort marker,
+    ``interrupted`` ones by a crash that beat the commit marker to
+    disk.
     """
 
     revisions: List[JournalRecord] = field(default_factory=list)
@@ -389,8 +390,8 @@ def resolve_entries(entries: Iterable[object]) -> ResolvedJournal:
     The commit protocol: effect records (``rev``/``seen``) tagged with
     a transaction id are provisional until that id's ``commit`` marker
     appears; an ``abort`` marker (or no marker at all — the crash
-    case) rolls them back.  Untagged revision records predate
-    transactions and are applied unconditionally.
+    case) rolls them back.  Untagged records were appended by a sync
+    and are applied unconditionally.
     """
     entries = list(entries)
     committed = {e.txn for e in entries if isinstance(e, TxnCommit)}
@@ -400,18 +401,16 @@ def resolve_entries(entries: Iterable[object]) -> ResolvedJournal:
     for entry in entries:
         if isinstance(entry, TxnIntent):
             resolved.intents[entry.txn] = entry
-            if entry.txn not in seen_ids:
-                seen_ids.append(entry.txn)
         elif isinstance(entry, JournalRecord):
-            if entry.txn and entry.txn not in seen_ids:
-                seen_ids.append(entry.txn)
             if not entry.txn or entry.txn in committed:
                 resolved.revisions.append(entry)
         elif isinstance(entry, SeenRecord):
-            if entry.txn not in seen_ids:
-                seen_ids.append(entry.txn)
-            if entry.txn in committed:
+            if not entry.txn or entry.txn in committed:
                 resolved.seens.append(entry)
+        else:
+            continue
+        if entry.txn and entry.txn not in seen_ids:
+            seen_ids.append(entry.txn)
     for txn in seen_ids:
         if txn in committed:
             resolved.committed.append(txn)

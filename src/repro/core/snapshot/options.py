@@ -33,8 +33,8 @@ class StoreOptions:
       to every requesting user's control file under a single URL-lock
       acquisition.
     * ``journal_persistence`` — ``append_store`` appends new revisions
-      to a journal instead of rewriting every ``,v`` file; off, it
-      degrades to a full rewrite.
+      and stamps to a journal instead of rewriting every ``,v`` file
+      and ``users.ctl``; off, it degrades to a full rewrite.
     """
 
     keyframe_interval: int = 16

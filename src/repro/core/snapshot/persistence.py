@@ -13,33 +13,30 @@ This module writes and reads that directory:
 * ``MANIFEST`` — mangled-name → URL map (URL characters that cannot
   appear in filenames are percent-escaped, so the map is also
   reconstructible from names alone);
-* ``journal.log`` — append-only records for revisions checked in since
-  the last full rewrite (see :mod:`.journal`).
+* ``journal.log`` — append-only records of the revisions and stamps
+  made since the last compaction (see :mod:`.journal`).
 
 Everything is plain text on purpose: the repository is as browsable —
-and as unprotected — as the paper describes.
+and as unprotected — as the paper describes.  ``users.ctl`` and
+``MANIFEST`` are one framed payload each (:mod:`repro.framedlog`), so
+a cut copy is detected instead of read as fewer stamps.
 
-Two save paths:
-
-* :func:`save_store` — the full rewrite (every ``,v`` file), O(total
-  archive).  A full rewrite supersedes the journal, so it doubles as
-  **compaction** (:func:`compact_store` is the explicit spelling).
-* :func:`append_store` — O(new data): one journal record per revision
-  checked in since the last sync, plus rewrites of the two small
-  bookkeeping files.  :func:`load_store` replays the journal on top of
-  the compacted base through the ordinary deterministic ``checkin``
-  path, reconstructing a store whose serialized archives are
-  byte-identical to what a full rewrite would have produced.
+A sync (:func:`append_store`) appends to ``journal.log`` and writes
+nothing else.  Every other file is written only by :func:`save_store`
+(creation and compaction), each replaced atomically.  One replay,
+:func:`_replay`, reads a repository for both :func:`load_store` and
+:func:`verify_store`.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Tuple
 
-from ...framedlog import truncate_tail
+from ... import framedlog
+from ...framedlog import replace, truncate_tail
 from ...rcs.archive import RcsArchive
 from ...rcs.rcsfile import parse_rcsfile, serialize_rcsfile
 from ...simclock import SimClock
@@ -47,8 +44,10 @@ from .journal import (
     JOURNAL_NAME,
     JournalError,
     JournalRecord,
+    JournalScan,
     ResolvedJournal,
-    append_records,
+    SeenRecord,
+    append_entries,
     clear_journal,
     resolve_entries,
     scan_journal,
@@ -63,13 +62,17 @@ __all__ = ["save_store", "append_store", "compact_store", "load_store",
 #: Subdirectory holding the "locally cached copy of the HTML document"
 #: (paper §4.2) — one file per URL, same name mangling as the ``,v``
 #: archives.  Written by write-ahead transactions (:mod:`.wal`) and
-#: reconciled against head revisions on load and by ``verify_store``.
+#: compaction, and checked against the head revisions on every read.
 CACHE_DIR = "cache"
+CONTROL_FILE = "users.ctl"
+MANIFEST_FILE = "MANIFEST"
 
 
 class JournalRecoveryWarning(UserWarning):
-    """A torn journal tail was truncated away during load, or a
-    half-done transaction was rolled back."""
+    """A load recovered from a crash: a torn journal tail was truncated
+    away, a half-done transaction rolled back, the records of an
+    interrupted compaction skipped, or a stamp of a lost revision
+    dropped."""
 
 _SAFE = set(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.-_"
@@ -104,47 +107,64 @@ def unmangle_name(name: str) -> str:
     return "".join(out)
 
 
-def _write_users(store: SnapshotStore, directory: str) -> None:
-    with open(os.path.join(directory, "users.ctl"), "w",
-              encoding="utf-8") as handle:
-        handle.write(store.users.serialize())
+def _write_framed(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` as one framed payload."""
+    replace(path, framedlog.frame(text.encode("utf-8")))
+
+
+def _read_framed(path: str) -> str:
+    """The text :func:`_write_framed` stored at ``path`` ("" when the
+    file does not exist); raises :class:`JournalError` when it is cut
+    or damaged."""
+    if not os.path.exists(path):
+        return ""
+    scan = framedlog.scan(framedlog.read(path), bytes.decode)
+    if scan.damage or len(scan.entries) != 1:
+        raise JournalError(
+            f"{os.path.basename(path)} is damaged: "
+            f"{scan.damage or f'{len(scan.entries)} frames, expected 1'}"
+        )
+    return scan.entries[0]
 
 
 def save_store(store: SnapshotStore, directory: str) -> int:
-    """Write the repository to ``directory``; returns files written.
+    """Write the whole repository to ``directory`` (creation and
+    compaction); returns files written.
 
-    A full rewrite: every archive's ``,v`` file is re-serialized.  Any
-    existing journal is superseded by the rewrite and removed, and the
-    store's persisted-revision markers are brought up to date — this is
-    the compaction step of the append-only scheme.
+    Every ``,v`` file, ``users.ctl`` and ``MANIFEST`` is replaced
+    atomically, then the journal they supersede is removed, as are the
+    ``,v`` files of archives the store dropped; cache files are brought
+    back to the heads and the store's sync state is reset.  Until the
+    journal is gone, a replay skips the records the new base holds.
     """
     archives_dir = os.path.join(directory, "archives")
     os.makedirs(archives_dir, exist_ok=True)
-    written = 0
     manifest: Dict[str, str] = {}
     for url, archive in sorted(store.archives.items()):
         name = mangle_url(url) + ",v"
         manifest[name] = url
-        path = os.path.join(archives_dir, name)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(serialize_rcsfile(archive))
-        written += 1
-    _write_users(store, directory)
-    written += 1
-    with open(os.path.join(directory, "MANIFEST"), "w",
-              encoding="utf-8") as handle:
-        for name, url in sorted(manifest.items()):
-            handle.write(f"{name}\t{url}\n")
-    written += 1
+        replace(os.path.join(archives_dir, name),
+                serialize_rcsfile(archive).encode("utf-8"))
+    store._step("compact.archives-written")
+    _write_framed(os.path.join(directory, CONTROL_FILE),
+                  store.users.serialize())
+    store._step("compact.control-written")
+    _write_framed(os.path.join(directory, MANIFEST_FILE), "".join(
+        f"{name}\t{url}\n" for name, url in sorted(manifest.items())
+    ))
+    store._step("compact.journal-clearing")
     clear_journal(directory)
+    for name in os.listdir(archives_dir):
+        if name.endswith(",v") and name not in manifest:
+            os.remove(os.path.join(archives_dir, name))
     store.persisted_revisions = {
         url: archive.revision_count
         for url, archive in store.archives.items()
     }
-    # Compaction may have dropped rolled-back revisions the cache files
-    # still reflect; bring any existing cache files back to the heads.
-    _reconcile_cache(store.archives, directory)
-    return written
+    store.users.pending = {}
+    store.compact_on_sync = False
+    _fix_cache(_check_cache(store.archives, directory))
+    return len(manifest) + 2
 
 
 def compact_store(store: SnapshotStore, directory: str) -> int:
@@ -154,27 +174,28 @@ def compact_store(store: SnapshotStore, directory: str) -> int:
 
 
 def append_store(store: SnapshotStore, directory: str) -> int:
-    """Append-only save: journal every revision checked in since the
-    last sync; returns the number of records appended.
+    """Sync: journal what changed since the last sync; returns the
+    number of revisions journaled.
 
-    Only the journal grows — the ``,v`` base stays untouched — so the
-    cost is proportional to the *new* data, not the repository size.
-    The two small bookkeeping files (``users.ctl``, whose seen-markers
-    move even without new revisions, and nothing else) are rewritten
-    each sync.  With ``store.options.journal_persistence`` off this
-    degrades to a full :func:`save_store` rewrite (and returns its
-    file count), keeping call sites branch-free.
+    The revisions checked in since the last sync, then the stamps
+    recorded outside a transaction (``store.users.pending``), go to
+    ``journal.log`` in one framed, fsynced append; no other file is
+    written, so the cost is that of the new data.  A change no journal
+    record expresses (a forgotten stamp, a dropped archive), or
+    ``journal_persistence`` off, makes it a :func:`save_store` instead
+    (returning its file count), keeping call sites branch-free.
     """
-    if not store.options.journal_persistence:
+    if (not store.options.journal_persistence or store.compact_on_sync
+            or store.users.pending is None):
         return save_store(store, directory)
-    os.makedirs(directory, exist_ok=True)
-    records: List[JournalRecord] = []
-    for url, archive in sorted(store.archives.items()):
+    entries: List[object] = []
+    synced: Dict[str, int] = {}
+    for url, archive in store.archives.items():
         done = store.persisted_revisions.get(url, 0)
         if archive.revision_count <= done:
             continue
         for info in archive.revisions()[done:]:
-            records.append(JournalRecord(
+            entries.append(JournalRecord(
                 url=url,
                 revision=info.number,
                 date=info.date,
@@ -182,125 +203,209 @@ def append_store(store: SnapshotStore, directory: str) -> int:
                 log=info.log,
                 text=archive.checkout(info.number),
             ))
-        store.persisted_revisions[url] = archive.revision_count
-    appended = append_records(directory, records)
-    _write_users(store, directory)
-    _reconcile_cache(store.archives, directory)
-    return appended
+        synced[url] = archive.revision_count
+    revisions = len(entries)
+    entries.extend(
+        SeenRecord(txn="", user=user, url=url, revision=revision, when=when)
+        for (user, url, revision), when in store.users.pending.items()
+    )
+    append_entries(directory, entries)
+    store._step("sync.journal-appended")
+    store.persisted_revisions.update(synced)
+    store.users.pending = {}
+    return revisions
 
 
-def load_store(store: SnapshotStore, directory: str) -> int:
-    """Populate an (empty or existing) store from ``directory``.
+#: One ``cache/`` file: its path, the URL it caches (None for a stray
+#: temp file), the text it must hold (None: it must go) and what is
+#: wrong with it ("" when nothing).
+CacheFile = Tuple[str, Optional[str], Optional[str], str]
 
-    Returns the number of archives loaded.  Existing in-memory archives
-    for the same URLs are replaced — the disk copy wins, as it would
-    for a restarted CGI process.  After the ``,v`` base is read, the
-    journal (if any) is replayed through the ordinary check-in path.
 
-    A *torn tail* — the journal stops mid-record, the signature of a
-    crash during an append — is recovered from, not fatal: the damaged
-    suffix is truncated away, a :class:`JournalRecoveryWarning` is
-    issued, and every record whose frame was committed is replayed.
-    Damage with intact frames *beyond* it is different — truncating
-    there would silently drop committed revisions — so mid-file
-    corruption raises :class:`~.journal.JournalError`, as does a replay
-    record that does not land on its recorded revision number.
+def _check_cache(archives: Dict[str, RcsArchive],
+                 directory: str) -> List[CacheFile]:
+    """Every ``cache/`` file checked against its archive's head."""
+    cache_dir = os.path.join(directory, CACHE_DIR)
+    if not os.path.isdir(cache_dir):
+        return []
+    by_name = {mangle_url(url): url for url in archives}
+    files: List[CacheFile] = []
+    for name in sorted(os.listdir(cache_dir)):
+        path = os.path.join(cache_dir, name)
+        if not os.path.isfile(path):
+            continue
+        if name.endswith(".tmp"):
+            files.append((path, None, None,
+                          f"cache/{name}: orphaned temp file"))
+            continue
+        url = by_name.get(name) or unmangle_name(name)
+        archive = archives.get(url)
+        if archive is None or archive.revision_count == 0:
+            files.append((path, url, None, f"cache/{name}: cached copy "
+                          f"of a URL with no archived revisions"))
+            continue
+        head = archive.checkout(archive.head_revision)
+        with open(path, "r", encoding="utf-8", errors="replace") as handle:
+            stale = handle.read() != head
+        files.append((path, url, head, (
+            f"cache/{name}: cached copy does not match head revision "
+            f"{archive.head_revision}" if stale else ""
+        )))
+    return files
 
-    Transactional records (see :mod:`.wal`) are resolved before replay:
-    effects of a transaction whose ``commit`` marker never reached disk
-    are **rolled back** — their ``rev`` and ``seen`` records skipped, a
-    :class:`JournalRecoveryWarning` naming the half-done operation
-    issued — and any ``cache/`` file left behind by the interrupted
-    write is reconciled against the surviving head revision.  Committed
-    ``seen`` records are applied on top of ``users.ctl``, recovering
-    control-file stamps that were journaled but never made it into a
-    bookkeeping rewrite.
+
+def _fix_cache(files: List[CacheFile]) -> None:
+    """Rewrite each stale cache file from its head, or remove it."""
+    for path, _url, head, finding in files:
+        if not finding:
+            continue
+        if head is None:
+            os.remove(path)
+        else:
+            replace(path, head.encode("utf-8"))
+
+
+@dataclass
+class _Replay:
+    """One read of a repository directory (see :func:`_replay`).
+
+    ``errors`` is damage a load cannot get past; ``recovered`` what a
+    load repairs and warns about; ``notes`` oddities nothing needs to
+    fix.  ``dangling`` stamps name revisions no archive holds, and
+    ``superseded`` counts journaled revisions the ``,v`` base already
+    held (a compaction a crash cut short).
     """
+
+    archives: Dict[str, RcsArchive] = field(default_factory=dict)
+    users: UserControl = field(default_factory=UserControl)
+    cache: List[CacheFile] = field(default_factory=list)
+    scan: JournalScan = field(default_factory=JournalScan)
+    resolved: ResolvedJournal = field(default_factory=ResolvedJournal)
+    archives_checked: int = 0
+    superseded: int = 0
+    dangling: List[Tuple[str, str, str]] = field(default_factory=list)
+    errors: List[str] = field(default_factory=list)
+    recovered: List[str] = field(default_factory=list)
+    notes: List[str] = field(default_factory=list)
+
+    @property
+    def stale_cache(self) -> List[CacheFile]:
+        return [entry for entry in self.cache if entry[3]]
+
+
+def _replay(directory: str) -> _Replay:
+    """Rebuild ``directory``'s repository without changing it: the
+    ``,v`` base and ``users.ctl``, then the journal's surviving records
+    (:func:`~.journal.resolve_entries`) through ``checkin``, each
+    checked to land on its recorded number; then every stamp and cache
+    file is checked against the archives."""
+    replay = _Replay()
+    try:
+        manifest = _read_manifest(directory)
+    except JournalError as exc:
+        replay.errors.append(str(exc))
+        manifest = {}
     archives_dir = os.path.join(directory, "archives")
-    loaded = 0
-    manifest = _read_manifest(os.path.join(directory, "MANIFEST"))
-    if os.path.isdir(archives_dir):
-        for name in sorted(os.listdir(archives_dir)):
-            if not name.endswith(",v"):
-                continue
+    names = sorted(os.listdir(archives_dir)) if os.path.isdir(
+        archives_dir) else []
+    base: Dict[str, int] = {}
+    for name in names:
+        if not name.endswith(",v"):
+            continue
+        replay.archives_checked += 1
+        try:
             with open(os.path.join(archives_dir, name), "r",
                       encoding="utf-8") as handle:
                 archive = parse_rcsfile(handle.read())
-            url = manifest.get(name) or unmangle_name(name[:-2])
-            archive.name = url
-            store.archives[url] = archive
-            loaded += 1
-    scan = scan_journal(directory)
-    truncate_tail(os.path.join(directory, JOURNAL_NAME), scan)
-    if scan.damage:
-        warnings.warn(
-            f"journal tail torn ({scan.damage}); truncated to last "
-            f"intact record — {len(scan.records)} record(s) kept, "
-            f"{scan.total_bytes - scan.valid_bytes} byte(s) dropped",
-            JournalRecoveryWarning,
-            stacklevel=2,
+            if archive.revision_count:
+                archive.checkout(archive.head_revision)
+        except Exception as exc:
+            replay.errors.append(f"archives/{name}: {exc}")
+            continue
+        url = manifest.get(name) or unmangle_name(name[:-2])
+        archive.name = url
+        replay.archives[url] = archive
+        base[url] = archive.revision_count
+    for name in manifest:
+        if name not in names:
+            replay.notes.append(f"MANIFEST names missing archive {name}")
+
+    scan = replay.scan = scan_journal(directory)
+    if scan.damage and scan.recoverable:
+        replay.recovered.append(
+            f"journal tail torn ({scan.damage}); the "
+            f"{scan.total_bytes - scan.valid_bytes} byte(s) after the last "
+            f"intact record are truncated on load"
         )
-    resolved = resolve_entries(scan.entries)
+    elif scan.damage:
+        replay.errors.append(
+            f"journal corrupted mid-file with intact records beyond the "
+            f"damage: {scan.damage}"
+        )
+    resolved = replay.resolved = resolve_entries(scan.entries)
     for txn in resolved.interrupted:
-        warnings.warn(
-            f"transaction {resolved.describe(txn)} never committed; "
-            f"rolling back its journaled effects",
-            JournalRecoveryWarning,
-            stacklevel=2,
+        replay.recovered.append(
+            f"transaction {resolved.describe(txn)} never committed; its "
+            f"journaled effects are rolled back on load"
+        )
+    if resolved.aborted:
+        replay.notes.append(
+            f"{len(resolved.aborted)} cleanly aborted transaction(s) "
+            f"awaiting compaction"
         )
     for record in resolved.revisions:
-        if record.url not in store.archives:
-            loaded += 1
-        archive = store.archive_for(record.url)
-        number, changed = archive.checkin(
-            record.text, date=record.date,
-            author=record.author, log=record.log,
-        )
+        try:
+            if _revision_index(record.revision) <= base.get(record.url, 0):
+                replay.superseded += 1
+                continue
+            archive = replay.archives.get(record.url)
+            if archive is None:
+                archive = replay.archives[record.url] = RcsArchive(
+                    name=record.url)
+            number, changed = archive.checkin(
+                record.text, date=record.date,
+                author=record.author, log=record.log,
+            )
+        except Exception as exc:
+            replay.errors.append(
+                f"journal replay of {record.url} rev {record.revision}: {exc}"
+            )
+            continue
         if not changed or number != record.revision:
-            raise JournalError(
+            replay.errors.append(
                 f"journal replay of {record.url} expected revision "
                 f"{record.revision}, got {number} (changed={changed})"
             )
-    # Everything now in memory is on disk (base + journal).
-    store.persisted_revisions = {
-        url: archive.revision_count
-        for url, archive in store.archives.items()
-    }
-    # Loaded archives adopt the store's checkpoint spacing (keyframes
-    # are derived data; this only rebuilds acceleration state).
-    for archive in store.archives.values():
-        if archive.keyframe_interval != store.options.keyframe_interval:
-            archive.set_keyframe_interval(store.options.keyframe_interval)
-    # users.ctl is the bookkeeping base; committed seen records layer
-    # the stamps that were journaled after its last rewrite on top.
-    users_path = os.path.join(directory, "users.ctl")
-    if os.path.exists(users_path):
-        with open(users_path, "r", encoding="utf-8") as handle:
-            store.users = UserControl.deserialize(handle.read())
-    for seen in resolved.seens:
-        store.users.record(seen.user, seen.url, seen.revision, seen.when)
-    # Stamps referencing revisions that did not survive (lost to a torn
-    # tail, or rolled back with their transaction) are pruned — a
-    # recovered store must not claim a user has seen a version it
-    # cannot produce.
-    dangling = [
-        (user, url, seen.revision)
-        for user, url, seen in store.users.all_stamps()
-        if not _revision_known(store.archives.get(url), seen.revision)
-    ]
-    for user, url, revision in dangling:
-        warnings.warn(
-            f"dropping {user}'s stamp of {url} rev {revision}: the "
-            f"revision is not in the recovered archive",
-            JournalRecoveryWarning,
-            stacklevel=2,
+    if replay.superseded:
+        replay.recovered.append(
+            f"{replay.superseded} journaled revision(s) already in the ,v "
+            f"base: a compaction stopped before clearing the journal"
         )
-        store.users.forget(user, url, revision)
-    # A crash after the cache write but before the commit marker leaves
-    # the cache file ahead of the (rolled-back) archive; rewrite any
-    # such file from the revision that actually survived.
-    _reconcile_cache(store.archives, directory, page_cache=store.page_cache)
-    return loaded
+
+    try:
+        replay.users = UserControl.deserialize(
+            _read_framed(os.path.join(directory, CONTROL_FILE)))
+    except JournalError as exc:
+        replay.errors.append(str(exc))
+    users = replay.users
+    for seen in resolved.seens:
+        # A journaled stamp never moves a stamp back in time: one older
+        # than users.ctl's copy predates a compaction.
+        prior = users.record(seen.user, seen.url, seen.revision, seen.when)
+        if prior is not None and prior.when > seen.when:
+            users.record(seen.user, seen.url, seen.revision, prior.when)
+    users.pending = {}
+    replay.dangling = [
+        (user, url, seen.revision)
+        for user, url, seen in users.all_stamps()
+        if not _revision_known(replay.archives.get(url), seen.revision)
+    ]
+    replay.cache = _check_cache(replay.archives, directory)
+    return replay
+
+
+def _revision_index(revision: str) -> int:
+    return int(revision.rpartition(".")[2])
 
 
 def _revision_known(archive: Optional[RcsArchive], revision: str) -> bool:
@@ -309,58 +414,64 @@ def _revision_known(archive: Optional[RcsArchive], revision: str) -> bool:
     )
 
 
-def _reconcile_cache(
-    archives: Dict[str, RcsArchive],
-    directory: str,
-    page_cache: Optional[Dict[str, str]] = None,
-) -> List[str]:
-    """Make every ``cache/`` file match its archive's head revision.
+def load_store(store: SnapshotStore, directory: str) -> int:
+    """Populate an (empty or existing) store from ``directory``;
+    returns the number of archives loaded.  The disk copy wins over
+    in-memory archives of the same URLs and over the control file, as
+    it would for a restarted CGI process.
 
-    Returns a description of each fix.  Files for unknown or empty
-    archives are removed; mismatched files are rewritten from the head.
-    Only URLs that *have* a cache file are touched — the cache is an
-    optional per-URL artifact, written by transactions.
+    :class:`~.journal.JournalError` is raised for damage a load cannot
+    get past (see :func:`_replay`): an unreadable ``,v`` file, a cut
+    ``users.ctl`` or ``MANIFEST``, mid-file journal corruption, a record
+    that does not replay onto its number.  Crash debris is recovered
+    from with a :class:`JournalRecoveryWarning` each: a torn journal
+    tail is truncated, uncommitted transactions rolled back, stamps of
+    lost revisions dropped; stale cache files are rewritten.
     """
-    cache_dir = os.path.join(directory, CACHE_DIR)
-    fixed: List[str] = []
-    if not os.path.isdir(cache_dir):
-        return fixed
-    by_name = {mangle_url(url): url for url in archives}
-    for name in sorted(os.listdir(cache_dir)):
-        path = os.path.join(cache_dir, name)
-        if not os.path.isfile(path):
-            continue
-        if name.endswith(".tmp"):
-            os.remove(path)
-            fixed.append(f"cache/{name}: removed orphaned temp file")
-            continue
-        url = by_name.get(name)
-        archive = archives.get(url) if url is not None else None
-        if archive is None or archive.revision_count == 0:
-            os.remove(path)
-            fixed.append(f"cache/{name}: removed (no archived revisions)")
-            continue
-        head = archive.checkout(archive.head_revision)
-        with open(path, "r", encoding="utf-8") as handle:
-            content = handle.read()
-        if content != head:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(head)
-            fixed.append(f"cache/{name}: rewritten from head revision")
-        if page_cache is not None:
-            page_cache[url] = head
-    return fixed
+    replay = _replay(directory)
+    truncate_tail(os.path.join(directory, JOURNAL_NAME), replay.scan)
+    if replay.errors:
+        raise JournalError(replay.errors[0])
+    for finding in replay.recovered:
+        warnings.warn(finding, JournalRecoveryWarning, stacklevel=2)
+    # Loaded archives adopt the store's checkpoint spacing (keyframes
+    # are derived data; this only rebuilds acceleration state).
+    for archive in replay.archives.values():
+        if archive.keyframe_interval != store.options.keyframe_interval:
+            archive.set_keyframe_interval(store.options.keyframe_interval)
+    store.archives.update(replay.archives)
+    store.persisted_revisions = {
+        url: archive.revision_count
+        for url, archive in replay.archives.items()
+    }
+    store.compact_on_sync = replay.superseded > 0
+    store.users = replay.users
+    # A recovered store must not claim a user has seen a version it
+    # cannot produce; forgetting makes the next sync a compaction.
+    for user, url, revision in replay.dangling:
+        warnings.warn(
+            f"dropping {user}'s stamp of {url} rev {revision}: the "
+            f"revision is not in the recovered archive",
+            JournalRecoveryWarning,
+            stacklevel=2,
+        )
+        store.users.forget(user, url, revision)
+    _fix_cache(replay.cache)
+    for _path, url, head, _finding in replay.cache:
+        if head is not None:
+            store.page_cache[url] = head
+    return len(replay.archives)
 
 
 @dataclass
 class StoreVerification:
     """What :func:`verify_store` found.  ``problems`` are data-losing
-    (corrupt archives, unreplayable or mid-file-damaged journal,
-    cross-file invariant violations); ``notes`` are survivable oddities
-    (torn tail, orphan manifest entries, transactions a load would roll
-    back).  ``ok`` means :func:`load_store` would succeed and lose
-    nothing that was ever committed.  ``repaired`` lists the fixes a
-    ``repair=True`` run applied."""
+    (corrupt archives or control files, unreplayable or mid-file-damaged
+    journal, cross-file invariant violations); ``notes`` are survivable
+    oddities (torn tail, orphan manifest entries, transactions a load
+    would roll back).  ``ok`` means :func:`load_store` would succeed and
+    lose nothing that was ever committed.  ``repaired`` lists the fixes
+    a ``repair=True`` run applied."""
 
     directory: str
     archives_checked: int = 0
@@ -389,243 +500,97 @@ class StoreVerification:
     def to_dict(self) -> Dict[str, object]:
         """Structured form for the CGI ``action=fsck`` endpoint and the
         crash-consistency bench gate."""
-        return {
-            "directory": self.directory,
-            "ok": self.ok,
-            "archives_checked": self.archives_checked,
-            "journal_records": self.journal_records,
-            "cache_files_checked": self.cache_files_checked,
-            "seen_stamps_checked": self.seen_stamps_checked,
-            "problems": list(self.problems),
-            "notes": list(self.notes),
-            "repaired": list(self.repaired),
-        }
+        return {"ok": self.ok, **asdict(self)}
 
 
 def verify_store(directory: str, repair: bool = False) -> StoreVerification:
     """Inspect an on-disk repository and *report* damage, never raise.
 
-    The read-only counterpart of :func:`load_store`'s recovery: every
-    ``,v`` file is parsed and its head checked out, the journal is
-    scanned frame-by-frame, transactions are resolved, and the
-    surviving records are replayed onto a scratch copy of the archives
-    — so a replay mismatch is found before a real load trips over it.
+    The read-only counterpart of :func:`load_store`, from the same
+    :func:`_replay`, which also checks the **cross-file invariants** of
+    paper §4.2's consistency triangle: every stamped revision exists,
+    and every ``cache/`` file matches its archive's head.  A violation
+    that crash debris explains (a stamp lost with a torn tail, a cache
+    file a rolled-back transaction left) is a note: a load repairs it.
 
-    On top of the per-file checks, the **cross-file invariants** of
-    paper §4.2's consistency triangle:
-
-    * every revision named by a control-file stamp (``users.ctl`` plus
-      committed journaled stamps) exists in its URL's archive;
-    * every ``cache/`` file matches its archive's head revision.
-
-    With ``repair=False`` (the default) nothing on disk is modified.
-    ``repair=True`` fixes what is fixable — rewrites mismatched cache
-    files from the head, drops control-file stamps naming revisions
-    that do not exist, compacts rolled-back transactions out of the
-    journal — then re-verifies and reports the remaining state with
-    the applied fixes listed in ``repaired``.
+    ``repair=True`` fixes what is fixable — drops dangling stamps,
+    compacts rolled-back transactions and interrupted compactions out
+    of the journal, rewrites stale cache files — then re-verifies and
+    lists the fixes in ``repaired``.  It changes nothing when compaction
+    would lose damaged data (an unreadable archive or control file, an
+    unreplayable journal).
     """
     report = StoreVerification(directory=directory)
     if not os.path.isdir(directory):
         report.notes.append("no repository directory")
         return report
-    manifest = _read_manifest(os.path.join(directory, "MANIFEST"))
-    archives_dir = os.path.join(directory, "archives")
-    archives: Dict[str, RcsArchive] = {}
-    unreadable: List[str] = []
-    if os.path.isdir(archives_dir):
-        for name in sorted(os.listdir(archives_dir)):
-            if not name.endswith(",v"):
-                continue
-            report.archives_checked += 1
-            url = manifest.get(name) or unmangle_name(name[:-2])
-            try:
-                with open(os.path.join(archives_dir, name), "r",
-                          encoding="utf-8") as handle:
-                    archive = parse_rcsfile(handle.read())
-                if archive.revision_count:
-                    archive.checkout(archive.head_revision)
-            except Exception as exc:
-                report.problems.append(f"archives/{name}: {exc}")
-                unreadable.append(name)
-                continue
-            archive.name = url
-            archives[url] = archive
-    for name in manifest:
-        if not os.path.exists(os.path.join(archives_dir, name)):
-            report.notes.append(f"MANIFEST names missing archive {name}")
-    scan = scan_journal(directory)
-    report.journal_records = len(scan.records)
-    if scan.damage:
-        if scan.recoverable:
+    replay = _replay(directory)
+    report.archives_checked = replay.archives_checked
+    report.journal_records = len(replay.scan.records)
+    report.cache_files_checked = sum(
+        1 for _path, url, _head, _finding in replay.cache if url is not None)
+    report.seen_stamps_checked = sum(1 for _ in replay.users.all_stamps())
+    report.problems.extend(replay.errors)
+    report.notes.extend(replay.recovered + replay.notes)
+    torn_tail = bool(replay.scan.damage) and replay.scan.recoverable
+    for user, url, revision in replay.dangling:
+        finding = (f"users.ctl: {user} has seen {url} rev {revision}, "
+                   f"which is not in the archive")
+        if torn_tail:
             report.notes.append(
-                f"journal tail torn ({scan.damage}); load_store would "
-                f"truncate {scan.total_bytes - scan.valid_bytes} byte(s)"
-            )
+                finding + " (torn tail; a load would drop the stamp)")
         else:
-            report.problems.append(
-                f"journal corrupted mid-file with intact records beyond "
-                f"the damage: {scan.damage}"
-            )
-    resolved = resolve_entries(scan.entries)
-    for txn in resolved.interrupted:
-        report.notes.append(
-            f"transaction {resolved.describe(txn)} never committed; "
-            f"load_store would roll it back"
-        )
-    if resolved.aborted:
-        report.notes.append(
-            f"{len(resolved.aborted)} cleanly aborted transaction(s) "
-            f"awaiting compaction"
-        )
-    for record in resolved.revisions:
-        archive = archives.get(record.url)
-        if archive is None:
-            archive = RcsArchive(name=record.url)
-            archives[record.url] = archive
-        try:
-            number, changed = archive.checkin(
-                record.text, date=record.date,
-                author=record.author, log=record.log,
-            )
-        except Exception as exc:
-            report.problems.append(
-                f"journal replay of {record.url} rev {record.revision}: {exc}"
-            )
-            continue
-        if not changed or number != record.revision:
-            report.problems.append(
-                f"journal replay of {record.url} expected revision "
-                f"{record.revision}, got {number} (changed={changed})"
-            )
-    # The effective control-file state a load would build: users.ctl
-    # plus the committed journaled stamps.
-    users = UserControl()
-    users_path = os.path.join(directory, "users.ctl")
-    if os.path.exists(users_path):
-        try:
-            with open(users_path, "r", encoding="utf-8") as handle:
-                users = UserControl.deserialize(handle.read())
-        except Exception as exc:
-            report.problems.append(f"users.ctl: {exc}")
-    for seen in resolved.seens:
-        users.record(seen.user, seen.url, seen.revision, seen.when)
-    # Cross-file invariant 1: every stamped revision exists.  When a
-    # recoverable torn tail is present the lost write explains (and a
-    # load repairs) the dangling stamp, so it is a note, not a problem.
-    torn_tail = bool(scan.damage) and scan.recoverable
-    dangling: List[tuple] = []
-    for user, url, seen in users.all_stamps():
-        report.seen_stamps_checked += 1
-        if not _revision_known(archives.get(url), seen.revision):
-            finding = (
-                f"users.ctl: {user} has seen {url} rev {seen.revision}, "
-                f"which is not in the archive"
-            )
-            if torn_tail:
-                report.notes.append(
-                    finding + " (torn tail; a load would drop the stamp)"
-                )
-            else:
-                report.problems.append(finding)
-            dangling.append((user, url, seen.revision))
-    # Cross-file invariant 2: every cache file matches its head.  A
-    # mismatch on a URL some rolled-back transaction touched is the
-    # expected debris of the interrupted write — a load reconciles it —
-    # so, like the torn-tail stamps above, it is a note, not a problem.
+            report.problems.append(finding)
     rolled_back_urls = {
-        resolved.intents[txn].url
-        for txn in resolved.rolled_back
-        if txn in resolved.intents
+        replay.resolved.intents[txn].url
+        for txn in replay.resolved.rolled_back
+        if txn in replay.resolved.intents
     }
-    cache_dir = os.path.join(directory, CACHE_DIR)
-    stale_cache = False
-    if os.path.isdir(cache_dir):
-        by_name = {mangle_url(url): url for url in archives}
-        for name in sorted(os.listdir(cache_dir)):
-            path = os.path.join(cache_dir, name)
-            if not os.path.isfile(path) or name.endswith(".tmp"):
-                continue
-            report.cache_files_checked += 1
-            url = by_name.get(name) or unmangle_name(name)
-            explained = url in rolled_back_urls
-            archive = archives.get(url)
-            if archive is None or archive.revision_count == 0:
-                finding = (
-                    f"cache/{name}: cached copy of a URL with no "
-                    f"archived revisions"
-                )
-                stale_cache = True
-                if explained:
-                    report.notes.append(
-                        finding + " (rolled-back transaction; a load "
-                        "would remove it)"
-                    )
-                else:
-                    report.problems.append(finding)
-                continue
-            with open(path, "r", encoding="utf-8") as handle:
-                content = handle.read()
-            if content != archive.checkout(archive.head_revision):
-                finding = (
-                    f"cache/{name}: cached copy does not match head "
-                    f"revision {archive.head_revision}"
-                )
-                stale_cache = True
-                if explained:
-                    report.notes.append(
-                        finding + " (rolled-back transaction; a load "
-                        "would rewrite it)"
-                    )
-                else:
-                    report.problems.append(finding)
-    if not repair:
+    for _path, url, _head, finding in replay.stale_cache:
+        if url is None or url in rolled_back_urls:
+            report.notes.append(
+                finding + " (left by an interrupted write; a load fixes it)")
+        else:
+            report.problems.append(finding)
+    fixable = (replay.dangling or replay.stale_cache or replay.superseded
+               or replay.resolved.rolled_back or replay.scan.damage)
+    if not repair or replay.errors or not fixable:
         return report
-    fixable = (
-        dangling or stale_cache or resolved.rolled_back
-        or (scan.damage and scan.recoverable)
-    )
-    if not fixable:
-        return report
-    repaired = _repair_store(directory, archives, users, dangling)
+    repaired = _repair_store(directory, replay)
     final = verify_store(directory, repair=False)
     final.repaired = repaired
     return final
 
 
-def _repair_store(
-    directory: str,
-    archives: Dict[str, RcsArchive],
-    users: UserControl,
-    dangling: List[tuple],
-) -> List[str]:
-    """Write the verified scratch state back: drop dangling stamps,
-    compact rolled-back transactions out of the journal, and reconcile
-    the cache files against the surviving heads."""
+def _repair_store(directory: str, replay: _Replay) -> List[str]:
+    """Write the verified replay back: drop dangling stamps, compact
+    rolled-back transactions out of the journal, and rewrite the stale
+    cache files (:func:`save_store` does the last two)."""
     repaired: List[str] = []
-    for user, url, revision in dangling:
-        users.forget(user, url, revision)
+    for user, url, revision in replay.dangling:
+        replay.users.forget(user, url, revision)
         repaired.append(
             f"users.ctl: dropped {user}'s stamp of {url} rev {revision}"
         )
     scratch = SnapshotStore(SimClock(), agent=None)
-    scratch.archives = dict(archives)
-    scratch.users = users
+    scratch.archives = replay.archives
+    scratch.users = replay.users
     save_store(scratch, directory)
     repaired.append(
         "compacted archives and journal (rolled-back transactions dropped)"
     )
-    repaired.extend(_reconcile_cache(archives, directory))
+    repaired.extend(
+        f"{finding}: {'removed' if head is None else 'rewritten from head'}"
+        for _path, _url, head, finding in replay.stale_cache
+    )
     return repaired
 
 
-def _read_manifest(path: str) -> Dict[str, str]:
-    if not os.path.exists(path):
-        return {}
+def _read_manifest(directory: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            name, _, url = line.rstrip("\n").partition("\t")
-            if name and url:
-                out[name] = url
+    for line in _read_framed(
+            os.path.join(directory, MANIFEST_FILE)).splitlines():
+        name, _, url = line.partition("\t")
+        if name and url:
+            out[name] = url
     return out

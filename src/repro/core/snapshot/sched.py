@@ -58,9 +58,10 @@ __all__ = [
 ]
 
 
-#: Every declared yield/crash point, in the order an unimpeded
-#: ``remember`` passes them.  ``Failpoints.step`` rejects names not
-#: listed here — the registry IS the sweep space of the crash bench.
+#: Every declared yield/crash point: the ones an unimpeded ``remember``
+#: passes, in order, then the persistence layer's.  ``Failpoints.step``
+#: rejects names not listed here — the registry IS the sweep space of
+#: the crash bench.
 CRASH_POINTS: Tuple[str, ...] = (
     "remember.url-locked",     # per-URL lock taken, nothing fetched yet
     "remember.fetched",        # page retrieved, nothing durable yet
@@ -72,6 +73,10 @@ CRASH_POINTS: Tuple[str, ...] = (
     "txn.committed",           # commit marker durable
     "batch.user-stamped",      # between users of a batched check-in
     "diff.checked-in",         # diff's embedded live check-in finished
+    "sync.journal-appended",   # a sync's revisions and stamps journaled
+    "compact.archives-written",  # every ,v file replaced
+    "compact.control-written",   # users.ctl replaced
+    "compact.journal-clearing",  # MANIFEST replaced, journal not yet gone
 )
 
 

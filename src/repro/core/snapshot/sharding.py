@@ -20,7 +20,8 @@ services do."  This module is the storage layer the diff server
 * per-shard persistence — :func:`save_sharded` / :func:`append_sharded`
   / :func:`load_sharded` lay each shard out as its own repository
   directory (``shard-00/``, ``shard-01/``, ...) with its own journal,
-  plus a ``SHARDS`` manifest; :func:`verify_sharded` runs the existing
+  plus a ``SHARDS`` manifest written when the repository is created or
+  compacted; :func:`verify_sharded` runs the existing
   :func:`~.persistence.verify_store` fsck per shard and folds the
   reports into one.
 
@@ -35,8 +36,9 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ...framedlog import replace
 from ...lru import LruCache
 from ...obs import NOOP as NOOP_OBS
 from ...simclock import SimClock
@@ -398,14 +400,12 @@ def _fix_ratios(stats: Dict[str, object]) -> None:
 def _write_manifest(directory: str, shard_count: int,
                     replication: int = 1) -> None:
     os.makedirs(directory, exist_ok=True)
-    lines = [f"{shard_count}\n"]
+    text = f"{shard_count}\n"
     if replication > 1:
         # Appended as a tagged second line so pre-replication loaders
         # (which read only the first line) still parse the manifest.
-        lines.append(f"replication {replication}\n")
-    with open(os.path.join(directory, SHARDS_MANIFEST), "w",
-              encoding="utf-8") as handle:
-        handle.writelines(lines)
+        text += f"replication {replication}\n"
+    replace(os.path.join(directory, SHARDS_MANIFEST), text.encode("utf-8"))
 
 
 def _read_manifest(directory: str) -> Optional[Tuple[int, int]]:
@@ -476,23 +476,17 @@ def save_sharded(store: ShardedSnapshotStore, directory: str,
 
 
 def append_sharded(store: ShardedSnapshotStore, directory: str,
-                   replication: int = 1,
-                   only: Optional[Iterable[int]] = None) -> int:
-    """O(new data) journal append per shard; each shard keeps its own
-    ``journal.log`` so shards sync (and recover) independently.
-
-    ``only`` restricts the sync to the named shard indices — the
-    replicated server passes its *live* set, because appending a
-    crashed (freshly reset, empty) shard would rewrite its on-disk
-    control file from empty state and destroy the very stamps its
-    recovery is about to reload.
-    """
-    _write_manifest(directory, store.shard_count, replication)
-    chosen = None if only is None else set(only)
+                   replication: int = 1) -> int:
+    """Sync every shard with :func:`~.persistence.append_store`: each
+    shard appends what changed since its last sync to its own
+    ``journal.log``, so shards sync (and recover) independently, and a
+    shard with nothing new — a crashed shard reset to empty, say —
+    writes nothing.  The ``SHARDS`` manifest is written only when it
+    does not exist yet."""
+    if not os.path.exists(os.path.join(directory, SHARDS_MANIFEST)):
+        _write_manifest(directory, store.shard_count, replication)
     total = 0
     for index, shard in enumerate(store.shards):
-        if chosen is not None and index not in chosen:
-            continue
         total += append_store(shard, os.path.join(directory,
                                                   shard_dirname(index)))
     return total

@@ -197,6 +197,10 @@ class SnapshotStore:
         #: url → number of revisions already on disk (compacted ,v base
         #: plus journal records); maintained by the persistence layer.
         self.persisted_revisions: Dict[str, int] = {}
+        #: Set when memory holds a change no journal record expresses (a
+        #: dropped archive, or a compaction a crash interrupted): the
+        #: next ``append_store`` compacts instead of appending.
+        self.compact_on_sync = False
         self.htmldiff_invocations = 0
         #: Optional transaction manager (``attach_wal``).  Without one,
         #: every mutating path behaves exactly as before — the
@@ -256,6 +260,16 @@ class SnapshotStore:
             )
             self.archives[key] = archive
         return archive
+
+    def drop_archive(self, key: str) -> None:
+        """Forget ``key``'s archive and everything derived from it (a
+        replica rebuilding a diverged copy).  The journal can only add
+        revisions, so the next sync compacts."""
+        del self.archives[key]
+        self.checkout_cache.invalidate(lambda cached: cached[0] == key)
+        self.token_cache.discard(key)
+        self.diff_cache.invalidate(lambda cached: cached[0] == key)
+        self.compact_on_sync = True
 
     # ------------------------------------------------------------------
     # remember

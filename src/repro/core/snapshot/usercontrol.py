@@ -11,12 +11,15 @@ timestamps provided for a page do not increase monotonically."
 This module implements the "next version": explicit version-number sets
 per <user, URL>, with check-in times, serializable like the on-disk
 control files.
+
+Between compactions a sync journals only the stamps recorded since the
+last one (:attr:`UserControl.pending`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["UserControl", "SeenVersion"]
 
@@ -34,6 +37,11 @@ class UserControl:
 
     def __init__(self) -> None:
         self._seen: Dict[str, Dict[str, List[SeenVersion]]] = {}
+        #: ``(user, url, revision) -> when`` for every stamp recorded
+        #: since the last sync, in first-recorded order; ``None`` once a
+        #: stamp was forgotten, because a journal can only add stamps
+        #: and the next sync must rewrite the control file whole.
+        self.pending: Optional[Dict[Tuple[str, str, str], int]] = {}
 
     # ------------------------------------------------------------------
     def record(
@@ -50,6 +58,8 @@ class UserControl:
         this <user, URL> — exactly what :meth:`undo_record` needs to
         roll the stamp back.
         """
+        if self.pending is not None:
+            self.pending[(user, url, revision)] = when
         per_user = self._seen.setdefault(user, {})
         versions = per_user.setdefault(url, [])
         for index, seen in enumerate(versions):
@@ -85,6 +95,8 @@ class UserControl:
         for index, seen in enumerate(versions):
             if seen.revision == revision:
                 versions[index] = prior
+                if self.pending is not None:
+                    self.pending[(user, url, revision)] = prior.when
                 return
 
     def forget(self, user: str, url: str, revision: Optional[str] = None) -> None:
@@ -100,6 +112,8 @@ class UserControl:
         versions = per_user.get(url)
         if versions is None:
             return
+        if any(revision in (None, seen.revision) for seen in versions):
+            self.pending = None
         if revision is None:
             del per_user[url]
         else:

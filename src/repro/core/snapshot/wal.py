@@ -148,8 +148,7 @@ class Transaction:
                     os.remove(path)
                 self.wal.store.page_cache.pop(url, None)
             else:
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(prior)
+                replace(path, prior.encode("utf-8"))
             if memory_prior is None:
                 self.wal.store.page_cache.pop(url, None)
             else:
@@ -167,14 +166,21 @@ class Transaction:
     ) -> None:
         """Journal one control-file stamp the store just recorded;
         ``prior`` is :meth:`UserControl.record`'s return value and
-        drives the undo."""
+        drives the undo.  The stamp leaves the sync's pending set, and
+        stamps of the same <user, URL> recorded outside a transaction
+        are journaled ahead of it, so a replay lists that history in
+        the order memory holds it."""
         self._require_open()
-        append_entries(
-            self.wal.directory,
-            [SeenRecord(txn=self.txn, user=user, url=url,
-                        revision=revision, when=when)],
-        )
         users = self.wal.store.users
+        entries = []
+        if users.pending:
+            users.pending.pop((user, url, revision), None)
+            for key in [key for key in users.pending
+                        if key[:2] == (user, url)]:
+                entries.append(SeenRecord("", *key, users.pending.pop(key)))
+        entries.append(SeenRecord(txn=self.txn, user=user, url=url,
+                                  revision=revision, when=when))
+        append_entries(self.wal.directory, entries)
 
         def undo() -> None:
             users.undo_record(user, url, revision, prior)

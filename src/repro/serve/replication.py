@@ -539,17 +539,11 @@ class ReplicationManager:
             src_texts = list(src_archive.iter_texts())
             prefix_ok = dst_archive is not None and self._is_prefix(
                 dst_archive, src_texts)
-            if dst_archive is None or not prefix_ok:
-                if dst_archive is not None:
-                    # Divergent history: drop and rebuild.  The old
-                    # revisions' cached checkouts are now lies.
-                    self.divergence_rebuilds += 1
-                    dst.checkout_cache.invalidate(
-                        lambda cached: cached[0] == key)
-                    dst.token_cache.discard(key)
-                    del dst.archives[key]
-                    dst.persisted_revisions.pop(key, None)
-                dst_archive = dst.archive_for(key)
+            if dst_archive is not None and not prefix_ok:
+                # Divergent history: drop and rebuild.
+                self.divergence_rebuilds += 1
+                dst.drop_archive(key)
+            dst_archive = dst.archive_for(key)
             start = dst_archive.revision_count
             for info, text in src_texts[start:]:
                 dst_archive.checkin(text, info.date, author=info.author,
@@ -559,11 +553,7 @@ class ReplicationManager:
         elif dst_archive is not None:
             # The source holds nothing for this URL; mirror that.
             self.divergence_rebuilds += 1
-            dst.checkout_cache.invalidate(lambda cached: cached[0] == key)
-            dst.token_cache.discard(key)
-            del dst.archives[key]
-            dst.persisted_revisions.pop(key, None)
-            dst.diff_cache.invalidate(lambda cached: cached[0] == key)
+            dst.drop_archive(key)
         moved += self._sync_stamps(src, dst, key)
         page = src.page_cache.get(key)
         if page is None:
@@ -598,6 +588,11 @@ class ReplicationManager:
 
     def _sync_stamps(self, src: SnapshotStore, dst: SnapshotStore,
                      key: str) -> int:
+        """Copy ``key``'s stamps.  Only the stamps that are missing or
+        changed are recorded, and a <user, URL> history is forgotten
+        only where it is not a prefix of the source's (a forget makes
+        the target's next sync a compaction), so the fan-out of an
+        ordinary write only adds stamps."""
         moved = 0
         src_users = src.users.users_tracking(key)
         for user in dst.users.users_tracking(key):
@@ -606,10 +601,16 @@ class ReplicationManager:
                 moved += len(user)
         for user in src_users:
             src_seen = src.users.versions_seen(user, key)
-            if dst.users.versions_seen(user, key) == src_seen:
+            dst_seen = dst.users.versions_seen(user, key)
+            if dst_seen == src_seen:
                 continue
-            dst.users.forget(user, key)
-            for seen in src_seen:
+            if ([seen.revision for seen in dst_seen]
+                    != [seen.revision for seen in src_seen[:len(dst_seen)]]):
+                dst.users.forget(user, key)
+                dst_seen = []
+            for index, seen in enumerate(src_seen):
+                if index < len(dst_seen) and dst_seen[index] == seen:
+                    continue
                 dst.users.record(user, key, seen.revision, seen.when)
                 moved += len(seen.revision) + 8
         return moved

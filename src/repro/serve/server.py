@@ -298,12 +298,8 @@ class DiffServer:
         if self._mutations_since_sync < self.sync_interval:
             return
         self._mutations_since_sync = 0
-        live = None
-        if self.replicator is not None:
-            live = [index for index, up
-                    in enumerate(self.replicator.alive) if up]
         append_sharded(self.store, self.repository_dir,
-                       replication=self.replication, only=live)
+                       replication=self.replication)
 
     # ------------------------------------------------------------------
     # Routing, caching, cost model

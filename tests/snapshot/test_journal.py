@@ -155,7 +155,7 @@ class TestAppendStore:
             assert serialized_archives(fresh) == serialized_archives(store)
             assert fresh.users.serialize() == store.users.serialize()
 
-    def test_users_ctl_refreshed_by_append(self, tmp_path):
+    def test_stamp_without_new_revision_survives_append(self, tmp_path):
         clock, store = make_store()
         feed(clock, store, URL_A, generated_history(4, seed=5))
         save_store(store, str(tmp_path))
@@ -164,7 +164,11 @@ class TestAppendStore:
         store.checkin_content("new-user@att.com", URL_A,
                               store.view(URL_A, rewrite_base=False))
         assert append_store(store, str(tmp_path)) == 0
-        assert "new-user@att.com" in (tmp_path / "users.ctl").read_text()
+        _clock2, fresh = make_store(clock)
+        load_store(fresh, str(tmp_path))
+        seen = fresh.users.last_seen_version("new-user@att.com", URL_A)
+        assert (seen.revision, seen.when) == ("1.4", clock.now)
+        assert fresh.users.serialize() == store.users.serialize()
 
     def test_compaction_merges_journal(self, tmp_path):
         clock, store = make_store()

@@ -15,6 +15,8 @@ from repro.core.snapshot.journal import (
     JOURNAL_NAME,
     JournalError,
     JournalRecord,
+    SeenRecord,
+    append_entries,
     append_records,
     read_journal,
     scan_journal,
@@ -72,69 +74,106 @@ def committed_prefix_lengths(data):
     return offsets
 
 
+def final_frames(data, revisions):
+    """``(start, end)`` of the final revision's frame and of the final
+    stamp's frame: a sync appends its revisions, then its stamps."""
+    boundaries = committed_prefix_lengths(data)
+    return ((boundaries[revisions - 1], boundaries[revisions]),
+            (boundaries[-2], boundaries[-1]))
+
+
+def stamps_of(store, user="fred@att.com"):
+    return [seen.revision for seen in store.users.versions_seen(user, URL)]
+
+
 class TestTornTailRecovery:
     def test_truncation_at_every_byte_boundary(self, tmp_path):
-        """The exhaustive property: cut the journal after any prefix of
-        the final record; load always succeeds and keeps every earlier
-        record (plus the final one only when its frame is complete)."""
+        """The exhaustive property: cut the journal anywhere in the
+        final revision's frame or the final stamp's frame; load always
+        succeeds and keeps every frame before the cut (the cut one only
+        when it is complete)."""
         clock, _store = build_journaled_store(tmp_path, revisions=3)
         data = open(journal_path(tmp_path), "rb").read()
         boundaries = committed_prefix_lengths(data)
-        last_record_start = boundaries[-2]
-        for cut in range(last_record_start, len(data) + 1):
-            with open(journal_path(tmp_path), "wb") as handle:
-                handle.write(data[:cut])
-            _clock2, fresh = make_store(clock)
-            if cut == len(data):
-                load_store(fresh, str(tmp_path))  # intact: no warning
-                expected = 3
-            elif cut == last_record_start:
-                load_store(fresh, str(tmp_path))  # clean boundary
-                expected = 2
-            else:
-                with pytest.warns(JournalRecoveryWarning):
-                    load_store(fresh, str(tmp_path))
-                expected = 2
-            (archive,) = fresh.archives.values()
-            assert archive.revision_count == expected, f"cut at byte {cut}"
+        for start, end in final_frames(data, 3):
+            for cut in range(start, end + 1):
+                with open(journal_path(tmp_path), "wb") as handle:
+                    handle.write(data[:cut])
+                _clock2, fresh = make_store(clock)
+                if cut in boundaries:
+                    load_store(fresh, str(tmp_path))  # clean: no warning
+                else:
+                    with pytest.warns(JournalRecoveryWarning):
+                        load_store(fresh, str(tmp_path))
+                kept = sum(1 for end_ in boundaries[1:] if end_ <= cut)
+                (archive,) = fresh.archives.values()
+                assert archive.revision_count == min(kept, 3), cut
+                assert stamps_of(fresh) == (
+                    ["1.1", "1.2", "1.3"][:max(kept - 3, 0)]), cut
 
     def test_corruption_at_every_byte_of_final_record(self, tmp_path):
-        """Flip each byte of the last record in turn: the frame checksum
-        (or header parse) catches it, and load keeps the earlier two."""
+        """Flip each byte of the final stamp's frame: the frame checksum
+        (or header parse) catches it, and load keeps every revision and
+        the earlier stamps.  Flip each byte of the final revision's
+        frame: intact stamp frames follow it, so that is mid-file
+        damage and load fails loudly instead of dropping them."""
         clock, _store = build_journaled_store(tmp_path, revisions=3)
         data = open(journal_path(tmp_path), "rb").read()
-        last_record_start = committed_prefix_lengths(data)[-2]
-        for index in range(last_record_start, len(data)):
-            mutated = bytearray(data)
-            mutated[index] ^= 0xFF
-            with open(journal_path(tmp_path), "wb") as handle:
-                handle.write(bytes(mutated))
-            _clock2, fresh = make_store(clock)
-            with pytest.warns(JournalRecoveryWarning):
-                load_store(fresh, str(tmp_path))
-            (archive,) = fresh.archives.values()
-            assert archive.revision_count == 2, f"corrupt byte {index}"
+        (rev_start, rev_end), (seen_start, seen_end) = final_frames(data, 3)
+        for start, end in ((rev_start, rev_end), (seen_start, seen_end)):
+            for index in range(start, end):
+                mutated = bytearray(data)
+                mutated[index] ^= 0xFF
+                with open(journal_path(tmp_path), "wb") as handle:
+                    handle.write(bytes(mutated))
+                _clock2, fresh = make_store(clock)
+                if start == rev_start:
+                    with pytest.raises(JournalError, match="mid-file"):
+                        load_store(fresh, str(tmp_path))
+                    continue
+                with pytest.warns(JournalRecoveryWarning):
+                    load_store(fresh, str(tmp_path))
+                (archive,) = fresh.archives.values()
+                assert archive.revision_count == 3, f"corrupt byte {index}"
+                assert stamps_of(fresh) == ["1.1", "1.2"], index
 
     def test_truncation_restores_append_capability(self, tmp_path):
-        clock, store = build_journaled_store(tmp_path, revisions=3)
-        data = open(journal_path(tmp_path), "rb").read()
-        with open(journal_path(tmp_path), "wb") as handle:
-            handle.write(data[:-5])  # tear the tail
+        for torn in ("revision", "stamp"):
+            self._tear_then_append(tmp_path / torn, torn)
+
+    @staticmethod
+    def _tear_then_append(directory, torn):
+        directory.mkdir()
+        clock, store = build_journaled_store(directory, revisions=3)
+        data = open(journal_path(directory), "rb").read()
+        (_start, rev_end), _seen = final_frames(data, 3)
+        cut = rev_end - 5 if torn == "revision" else len(data) - 5
+        with open(journal_path(directory), "wb") as handle:
+            handle.write(data[:cut])  # tear the frame
         _clock2, fresh = make_store(clock)
         with pytest.warns(JournalRecoveryWarning):
-            load_store(fresh, str(tmp_path))
+            load_store(fresh, str(directory))
         # Recovery truncated the file: the journal is clean again and
         # new appends produce a loadable stream.
-        assert scan_journal(str(tmp_path)).clean
-        append_records(str(tmp_path), [JournalRecord(
-            url=URL, revision="1.3", date=clock.now + 1,
-            author="fred@att.com", log="re-checkin",
-            text="<P>version 2 rewritten</P>\n",
-        )])
+        assert scan_journal(str(directory)).clean
+        if torn == "revision":
+            append_records(str(directory), [JournalRecord(
+                url=URL, revision="1.3", date=clock.now + 1,
+                author="fred@att.com", log="re-checkin",
+                text="<P>version 2 rewritten</P>\n",
+            )])
+        else:
+            append_entries(str(directory), [SeenRecord(
+                txn="", user="fred@att.com", url=URL, revision="1.3",
+                when=clock.now + 1,
+            )])
         _clock3, again = make_store(clock)
-        load_store(again, str(tmp_path))
+        load_store(again, str(directory))
         (archive,) = again.archives.values()
         assert archive.revision_count == 3
+        # Tearing the revision's frame cut away every stamp after it.
+        expected = [] if torn == "revision" else ["1.1", "1.2", "1.3"]
+        assert stamps_of(again) == expected
 
     def test_empty_journal_file_loads_clean(self, tmp_path):
         clock, _store = build_journaled_store(tmp_path, revisions=2)
