@@ -12,7 +12,10 @@ model) while asserting byte-identical outputs:
 * **revision lookup** — ``revision_at`` over a 1000-revision archive:
   bisect vs linear scan;
 * **append-only persistence** — syncing 10 new check-ins into a
-  200-URL repository: journal append vs full ``,v`` rewrite.
+  200-URL repository: journal append vs full ``,v`` rewrite; and the
+  journal bytes a sync writes per check-in against the bytes of the
+  texts it journals, on 60-paragraph pages edited by the archive-churn
+  mix (gate: the line-delta journal writes at most 1/20 of them).
 
 Results land in ``benchmarks/results/BENCH_snapshot.json`` next to
 ``BENCH_htmldiff.json`` so CI can archive them.
@@ -37,6 +40,12 @@ DEEP_REVISIONS = 500
 COALESCE_USERS = 25
 LOOKUP_REVISIONS = 1000
 JOURNAL_URLS = 200
+#: Page size of the journal-bytes measurement: archive-churn's pages
+#: run from 20 to 120 paragraphs.
+JOURNAL_BYTES_PARAGRAPHS = 60
+#: ``MutationMix.typical`` without ``rewrite``, as archive-churn edits.
+CHURN_MIX = {"append_paragraph": 0.30, "edit_sentence": 0.30,
+             "add_link": 0.20, "delete_paragraph": 0.10, "restructure": 0.05}
 
 
 def history(revisions, seed=23, paragraphs=30):
@@ -203,16 +212,45 @@ def scenario_journal(sink, tmp_base):
         == {u: serialize_rcsfile(a) for u, a in check_journal.archives.items()}
 
     speedup = full_s / journal_s
+    journal_bytes, text_bytes = journal_bytes_per_checkin(
+        os.path.join(tmp_base, "bytes"))
     sink.row(f"  sync 10 check-ins into {JOURNAL_URLS}-URL repo: "
              f"rewrite {full_s * 1e3:.1f} ms  journal {journal_s * 1e3:.1f} ms  "
-             f"{speedup:.1f}x")
+             f"{speedup:.1f}x; {journal_bytes:.0f} journal bytes per "
+             f"check-in of a {text_bytes:.0f}-byte page")
     return {
         "urls": JOURNAL_URLS,
         "new_checkins": 10,
         "full_rewrite_ms": round(full_s * 1e3, 3),
         "journal_append_ms": round(journal_s * 1e3, 3),
         "speedup": round(speedup, 2),
+        "journal_bytes_per_checkin": round(journal_bytes, 1),
+        "text_bytes_per_checkin": round(text_bytes, 1),
     }
+
+
+def journal_bytes_per_checkin(directory):
+    """(journal bytes, text bytes) per check-in of one sync of 10
+    edited ``JOURNAL_BYTES_PARAGRAPHS``-paragraph pages."""
+    clock = SimClock()
+    store = SnapshotStore(clock, UserAgent(Network(clock), clock))
+    gen = PageGenerator(seed=47)
+    urls = [f"http://corpus.org/big{index}.html" for index in range(10)]
+    for url in urls:
+        clock.advance(1)
+        store.checkin_content("archiver@att.com", url, gen.page(
+            paragraphs=JOURNAL_BYTES_PARAGRAPHS, links=10))
+    save_store(store, directory)
+    mix = MutationMix(CHURN_MIX, seed=5)
+    text_bytes = 0
+    for url in urls:
+        clock.advance(1)
+        text = mix.apply(store.view(url, rewrite_base=False))
+        store.checkin_content("archiver@att.com", url, text)
+        text_bytes += len(text.encode("utf-8"))
+    assert append_store(store, directory) == len(urls)
+    journal = os.path.getsize(os.path.join(directory, "journal.log"))
+    return journal / len(urls), text_bytes / len(urls)
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +272,9 @@ def test_store_fastpath(benchmark, sink, tmp_path):
     # machines from flaking).
     assert report["deep_checkout"]["speedup"] >= 5.0
     assert report["remember_coalescing"]["speedup"] >= 3.0
+    journal = report["journal_persistence"]
+    assert journal["journal_bytes_per_checkin"] * 20 \
+        <= journal["text_bytes_per_checkin"]
 
     # pytest-benchmark row: the headline deep-checkout scenario.
     texts = history(DEEP_REVISIONS)

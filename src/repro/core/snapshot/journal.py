@@ -3,10 +3,10 @@
 ``save_store`` rewrites every ``,v`` file — O(total archive) per save,
 which is what caps a transactional archive's write throughput under
 load (the SiteStory finding).  The journal makes routine persistence
-O(new data): each *new* revision and each new control-file stamp since
-the last sync is appended as one self-contained record, and a loader
-replays the records (in order, through the ordinary ``checkin`` path,
-which is deterministic) on top of the last compacted ``,v`` base and
+O(what changed): each *new* revision and each new control-file stamp
+since the last sync is appended as one record, and a loader replays the
+records (in order, through the ordinary ``checkin`` path, which is
+deterministic) on top of the last compacted ``,v`` base and
 ``users.ctl`` to rebuild a byte-identical store.
 
 Record shape: each record is one payload of the shared durable framed
@@ -15,9 +15,22 @@ reader tell a record that was *committed* from one that was torn
 mid-write by a crash::
 
     frame <payload-bytes> <checksum>\\n
-    rev\t<quoted url>\t<revision>\t<date>\t<quoted author>[\ttxn=<id>]
+    delta\t<quoted url>\t<revision>\t<date>\t<quoted author>\t<crc>\t<cut crc>[\ttxn=<id>]
     <quoted log>
-    <quoted text>
+    <quoted edit script>
+
+A revision is stored the way RCS stores one: as a ``diff -n`` edit
+script (:mod:`repro.diffcore.textdiff`), here the *forward* one that
+turns the archive's previous revision (the empty document, for 1.1)
+into this one.  Two CRC-32s (8 hex digits each, of UTF-8 bytes) pin
+what it applies to: ``<crc>`` of the text it yields, ``<cut crc>`` of
+the previous revision's lines it deletes, newline-joined.  A replay
+applies the script to the archive's head and refuses it unless both
+match: a line the script keeps differs in the result, and a line it
+deletes in the cut, so a script never lands on a text other than the
+one it was made from.  A ``rev`` record carrying a whole text, the
+format before deltas, is refused as unknown, not truncated: compact
+such a repository with a version that still reads it.
 
 The payload is plain text like the rest of the repository —
 ``@``-quoting is RCS's (payload wrapped in ``@...@``, literal ``@``
@@ -40,42 +53,59 @@ carry a transaction through the log::
     commit\t<id>                            -- the commit marker
     abort\t<id>                             -- a clean rollback marker
 
-A ``rev`` or ``seen`` record tagged with a transaction id only takes
+A ``delta`` or ``seen`` record tagged with a transaction id only takes
 effect if that id's ``commit`` marker made it to disk;
 :func:`resolve_entries` computes the surviving effect set, and
 everything belonging to an uncommitted transaction is rolled back on
-replay.  Untagged ``rev`` and ``seen`` records — what a routine sync
+replay.  Untagged ``delta`` and ``seen`` records — what a routine sync
 appends for the check-ins and stamps made outside a transaction — are
 unconditionally applied.
 
 Reading comes in two flavors.  :func:`read_journal` is strict: any
 damage raises :class:`JournalError`.  :func:`scan_journal` never raises
 on content: it is :func:`repro.framedlog.scan` with this module's
-record parser.  A journal of bare ``rev`` records from before framing
-is reported as damage that must not be truncated.
+record parser.  A ``rev`` record of an older format, bare or framed, is
+reported as damage that must not be truncated.
 """
 
 from __future__ import annotations
 
 import os
+import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ... import framedlog
+from ...diffcore.textdiff import (
+    EditCommand,
+    EditScript,
+    apply_edit_script,
+    deleted_lines,
+    format_edit_script,
+    parse_edit_script,
+)
 from ...framedlog import JournalError
 from ...rcs.rcsfile import quote_at_string, read_at_string
 
 __all__ = ["JournalRecord", "JournalError", "JournalScan", "TxnIntent",
            "SeenRecord", "TxnCommit", "TxnAbort", "ResolvedJournal",
-           "append_records", "append_entries", "resolve_entries",
+           "append_entries", "resolve_entries", "text_crc",
            "read_journal", "scan_journal", "clear_journal", "JOURNAL_NAME"]
 
 JOURNAL_NAME = "journal.log"
 
 
+def text_crc(text: str) -> int:
+    """The CRC-32 a ``delta`` record keeps of the text it yields."""
+    return zlib.crc32(text.encode("utf-8"))
+
+
 @dataclass(frozen=True)
 class JournalRecord:
-    """One checked-in revision, self-contained for replay.
+    """One checked-in revision, as the edit script that turns the
+    archive's previous revision into it.  ``crc`` is :func:`text_crc`
+    of the result, ``cut_crc`` that of the previous revision's lines
+    the script deletes, newline-joined.
 
     ``txn`` is empty for standalone (pre-transaction) records; when
     set, the record only takes effect if its transaction committed.
@@ -86,8 +116,38 @@ class JournalRecord:
     date: int
     author: str
     log: str
-    text: str
+    script: Tuple[EditCommand, ...]
+    crc: int
+    cut_crc: int
     txn: str = ""
+
+    @classmethod
+    def from_delta(
+        cls,
+        url: str,
+        delta: Tuple[object, EditScript, List[str], List[str]],
+        date: int,
+        author: str,
+        log: str,
+        txn: str = "",
+    ) -> "JournalRecord":
+        """The record of one ``(info, script, cut, lines)`` of
+        :meth:`~repro.rcs.archive.RcsArchive.forward_deltas`."""
+        info, script, cut, lines = delta
+        return cls(url=url, revision=info.number, date=date, author=author,
+                   log=log, script=tuple(script),
+                   crc=text_crc("\n".join(lines)),
+                   cut_crc=text_crc("\n".join(cut)), txn=txn)
+
+    def apply(self, lines: Sequence[str]) -> str:
+        """The text this record yields on top of ``lines``, the previous
+        revision's; raises ValueError unless both checksums match."""
+        text = "\n".join(apply_edit_script(lines, self.script))
+        cut = "\n".join(deleted_lines(lines, self.script))
+        if (text_crc(cut), text_crc(text)) != (self.cut_crc, self.crc):
+            raise JournalError("checksum mismatch: the delta was not made "
+                               "from the text it is applied to")
+        return text
 
 
 @dataclass(frozen=True)
@@ -139,15 +199,16 @@ class JournalScan(framedlog.LogScan):
 
 
 def _serialize(record: JournalRecord) -> str:
-    header = "rev\t%s\t%s\t%d\t%s" % (
+    header = "delta\t%s\t%s\t%d\t%s\t%08x\t%08x" % (
         quote_at_string(record.url), record.revision, record.date,
-        quote_at_string(record.author),
+        quote_at_string(record.author), record.crc, record.cut_crc,
     )
     if record.txn:
         header += "\ttxn=%s" % record.txn
-    return "\n".join(
-        [header, quote_at_string(record.log), quote_at_string(record.text)]
-    ) + "\n"
+    return "\n".join([
+        header, quote_at_string(record.log),
+        quote_at_string(format_edit_script(record.script)),
+    ]) + "\n"
 
 
 def _serialize_entry(entry: object) -> str:
@@ -181,11 +242,6 @@ def append_entries(directory: str, entries: Iterable[object]) -> int:
         os.path.join(directory, JOURNAL_NAME),
         [_serialize_entry(entry).encode("utf-8") for entry in entries],
     )
-
-
-def append_records(directory: str, records: Iterable[JournalRecord]) -> int:
-    """Append framed revision records (see :func:`append_entries`)."""
-    return append_entries(directory, records)
 
 
 class _Scanner:
@@ -231,9 +287,17 @@ def _int_field(text: str, what: str) -> int:
         raise JournalError(f"bad {what} field {text!r}")
 
 
+def _crc_field(text: str) -> int:
+    try:
+        return int(text, 16)
+    except ValueError:
+        raise JournalError(f"bad crc field {text!r}")
+
+
 def _read_one(scanner: _Scanner) -> JournalRecord:
-    """One ``rev`` record at the scanner's cursor (raises JournalError)."""
-    scanner.expect("rev")
+    """One ``delta`` record at the scanner's cursor (raises
+    JournalError)."""
+    scanner.expect("delta")
     scanner.skip("\t")
     url = scanner.read_string()
     scanner.skip("\t")
@@ -242,6 +306,10 @@ def _read_one(scanner: _Scanner) -> JournalRecord:
     date_text = scanner.read_field()
     scanner.skip("\t")
     author = scanner.read_string()
+    scanner.skip("\t")
+    crc = _crc_field(scanner.read_field())
+    scanner.skip("\t")
+    cut_crc = _crc_field(scanner.read_field())
     txn = ""
     if scanner.text.startswith("\ttxn=", scanner.pos):
         scanner.pos += len("\ttxn=")
@@ -249,10 +317,11 @@ def _read_one(scanner: _Scanner) -> JournalRecord:
     scanner.skip("\n")
     log = scanner.read_string()
     scanner.skip("\n")
-    body = scanner.read_string()
+    script = tuple(parse_edit_script(scanner.read_string(), JournalError))
     return JournalRecord(url=url, revision=revision,
                          date=_int_field(date_text, "date"),
-                         author=author, log=log, text=body, txn=txn)
+                         author=author, log=log, script=script, crc=crc,
+                         cut_crc=cut_crc, txn=txn)
 
 
 def _read_intent(scanner: _Scanner) -> TxnIntent:
@@ -302,7 +371,7 @@ def _read_marker(scanner: _Scanner) -> object:
 def _read_entry(scanner: _Scanner) -> object:
     """One record of any type at the scanner's cursor."""
     text, pos = scanner.text, scanner.pos
-    if text.startswith("rev", pos):
+    if text.startswith("delta", pos):
         return _read_one(scanner)
     if text.startswith("txn", pos):
         return _read_intent(scanner)
@@ -332,12 +401,21 @@ def scan_journal(directory: str) -> JournalScan:
     """
     data = framedlog.read(os.path.join(directory, JOURNAL_NAME))
     scan = JournalScan(**vars(framedlog.scan(data, _parse_payload)))
-    if not scan.entries and data.lstrip(b" \t\r\n")[:3] == b"rev":
-        # Bare records from before framing: refuse, never truncate them
-        # away as a torn tail.
+    pos = scan.damage_offset
+    if pos is None:
+        return scan
+    # A ``rev`` record of an older format holds committed revisions:
+    # refuse it, never truncate it away as a torn tail.
+    if data.startswith(b"rev", pos):
         scan.recoverable = False
         scan.damage = ("unframed records from before the framed format; "
                        f"convert or remove the journal ({scan.damage})")
+    elif (data.startswith(b"frame ", pos)
+          and data.startswith(b"rev\t", data.find(b"\n", pos) + 1)):
+        scan.recoverable = False
+        scan.damage = ("full-text rev record from before the delta format; "
+                       "compact the repository with a version that reads "
+                       f"it ({scan.damage})")
     return scan
 
 

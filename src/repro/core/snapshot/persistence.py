@@ -194,15 +194,10 @@ def append_store(store: SnapshotStore, directory: str) -> int:
         done = store.persisted_revisions.get(url, 0)
         if archive.revision_count <= done:
             continue
-        for info in archive.revisions()[done:]:
-            entries.append(JournalRecord(
-                url=url,
-                revision=info.number,
-                date=info.date,
-                author=info.author,
-                log=info.log,
-                text=archive.checkout(info.number),
-            ))
+        for delta in archive.forward_deltas(done):
+            info = delta[0]
+            entries.append(JournalRecord.from_delta(
+                url, delta, info.date, info.author, info.log))
         synced[url] = archive.revision_count
     revisions = len(entries)
     entries.extend(
@@ -245,7 +240,8 @@ def _check_cache(archives: Dict[str, RcsArchive],
                           f"of a URL with no archived revisions"))
             continue
         head = archive.checkout(archive.head_revision)
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        with open(path, "r", encoding="utf-8", errors="replace",
+                  newline="") as handle:
             stale = handle.read() != head
         files.append((path, url, head, (
             f"cache/{name}: cached copy does not match head revision "
@@ -315,7 +311,7 @@ def _replay(directory: str) -> _Replay:
         replay.archives_checked += 1
         try:
             with open(os.path.join(archives_dir, name), "r",
-                      encoding="utf-8") as handle:
+                      encoding="utf-8", newline="") as handle:
                 archive = parse_rcsfile(handle.read())
             if archive.revision_count:
                 archive.checkout(archive.head_revision)
@@ -362,8 +358,10 @@ def _replay(directory: str) -> _Replay:
             if archive is None:
                 archive = replay.archives[record.url] = RcsArchive(
                     name=record.url)
+            text = record.apply(archive.checkout().split("\n")
+                                if archive.revision_count else [])
             number, changed = archive.checkin(
-                record.text, date=record.date,
+                text, date=record.date,
                 author=record.author, log=record.log,
             )
         except Exception as exc:

@@ -403,7 +403,7 @@ class SnapshotStore:
         revision, changed, _nbytes = outcome
         if txn is None or not changed:
             return
-        txn.log_rev(key, revision, body, f"snapshot by {author}")
+        txn.log_rev(key, revision, f"snapshot by {author}")
         self._step("txn.rev-appended")
         txn.write_cache(key, body)
         self._step("txn.cache-written")

@@ -14,6 +14,12 @@ control files.
 
 Between compactions a sync journals only the stamps recorded since the
 last one (:attr:`UserControl.pending`).
+
+Each <user, URL> history is an insertion-ordered ``dict`` keyed by
+revision, so a stamp costs O(1) however long the history grows: a
+re-stamp updates its entry in place (keeping its position), undoing a
+fresh stamp pops the last entry, and the last value is the last seen
+version.
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ class SeenVersion:
 
 
 class UserControl:
-    """All users' control files (user → URL → seen versions)."""
+    """All users' control files (user → URL → revision → seen version,
+    in check-in order)."""
 
     def __init__(self) -> None:
-        self._seen: Dict[str, Dict[str, List[SeenVersion]]] = {}
+        self._seen: Dict[str, Dict[str, Dict[str, SeenVersion]]] = {}
         #: ``(user, url, revision) -> when`` for every stamp recorded
         #: since the last sync, in first-recorded order; ``None`` once a
         #: stamp was forgotten, because a journal can only add stamps
@@ -60,14 +67,15 @@ class UserControl:
         """
         if self.pending is not None:
             self.pending[(user, url, revision)] = when
-        per_user = self._seen.setdefault(user, {})
-        versions = per_user.setdefault(url, [])
-        for index, seen in enumerate(versions):
-            if seen.revision == revision:
-                versions[index] = SeenVersion(revision=revision, when=when)
-                return seen
-        versions.append(SeenVersion(revision=revision, when=when))
-        return None
+        per_user = self._seen.get(user)
+        if per_user is None:
+            per_user = self._seen[user] = {}
+        versions = per_user.get(url)
+        if versions is None:
+            versions = per_user[url] = {}
+        prior = versions.get(revision)
+        versions[revision] = SeenVersion(revision=revision, when=when)
+        return prior
 
     def undo_record(
         self,
@@ -87,17 +95,15 @@ class UserControl:
         if not versions:
             return
         if prior is None:
-            if versions and versions[-1].revision == revision:
-                versions.pop()
+            if next(reversed(versions)) == revision:
+                versions.popitem()
             if not versions:
                 self.forget(user, url)
             return
-        for index, seen in enumerate(versions):
-            if seen.revision == revision:
-                versions[index] = prior
-                if self.pending is not None:
-                    self.pending[(user, url, revision)] = prior.when
-                return
+        if revision in versions:
+            versions[revision] = prior
+            if self.pending is not None:
+                self.pending[(user, url, revision)] = prior.when
 
     def forget(self, user: str, url: str, revision: Optional[str] = None) -> None:
         """Drop seen-version state (fsck repair surface).
@@ -112,24 +118,24 @@ class UserControl:
         versions = per_user.get(url)
         if versions is None:
             return
-        if any(revision in (None, seen.revision) for seen in versions):
+        if versions if revision is None else revision in versions:
             self.pending = None
         if revision is None:
             del per_user[url]
         else:
-            per_user[url] = [s for s in versions if s.revision != revision]
-            if not per_user[url]:
+            versions.pop(revision, None)
+            if not versions:
                 del per_user[url]
         if not per_user:
             del self._seen[user]
 
     def versions_seen(self, user: str, url: str) -> List[SeenVersion]:
         """All versions this user has seen of this URL (check-in order)."""
-        return list(self._seen.get(user, {}).get(url, []))
+        return list(self._seen.get(user, {}).get(url, {}).values())
 
     def last_seen_version(self, user: str, url: str) -> Optional[SeenVersion]:
         versions = self._seen.get(user, {}).get(url)
-        return versions[-1] if versions else None
+        return next(reversed(versions.values())) if versions else None
 
     def users_tracking(self, url: str) -> List[str]:
         """Who has registered an interest in this page.
@@ -150,7 +156,7 @@ class UserControl:
         cross-file surface a repository check must validate."""
         for user in sorted(self._seen):
             for url in sorted(self._seen[user]):
-                for seen in self._seen[user][url]:
+                for seen in self._seen[user][url].values():
                     yield user, url, seen
 
     # ------------------------------------------------------------------
@@ -161,7 +167,7 @@ class UserControl:
             for url in sorted(self._seen[user]):
                 versions = ",".join(
                     f"{seen.revision}@{seen.when}"
-                    for seen in self._seen[user][url]
+                    for seen in self._seen[user][url].values()
                 )
                 lines.append(f"{user}|{url}|{versions}")
         return "\n".join(lines)

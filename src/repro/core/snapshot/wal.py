@@ -86,21 +86,20 @@ class Transaction:
         if self.state != "open":
             raise WalError(f"transaction {self.txn} is already {self.state}")
 
-    def log_rev(self, url: str, revision: str, body: str, log: str) -> None:
-        """Journal an archive check-in this transaction just made; the
-        undo drops the freshly created head again."""
+    def log_rev(self, url: str, revision: str, log: str) -> None:
+        """Journal an archive check-in this transaction just made (the
+        archive's head) as its delta from the previous head; the undo
+        drops the freshly created head again."""
         self._require_open()
-        record = JournalRecord(
-            url=url,
-            revision=revision,
-            date=self.intent.date,
-            author=self.intent.author,
-            log=log,
-            text=body,
-            txn=self.txn,
-        )
-        append_entries(self.wal.directory, [record])
         store = self.wal.store
+        archive = store.archive_for(url)
+        if archive.head_revision != revision:
+            raise WalError(f"{url}: {revision} is not the head revision")
+        (delta,) = archive.forward_deltas(archive.revision_count - 1)
+        record = JournalRecord.from_delta(
+            url, delta, self.intent.date, self.intent.author, log,
+            txn=self.txn)
+        append_entries(self.wal.directory, [record])
         self.revs.append((url, revision))
 
         def undo() -> None:
@@ -136,7 +135,7 @@ class Transaction:
         path = self.wal.cache_path(url)
         prior: Optional[str] = None
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8", newline="") as handle:
                 prior = handle.read()
         replace(path, body.encode("utf-8"))
         memory_prior = self.wal.store.page_cache.get(url)
@@ -270,7 +269,7 @@ class WriteAheadLog:
         path = self.cache_path(url)
         if not os.path.exists(path):
             return None
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
             return handle.read()
 
     def stats(self) -> dict:

@@ -62,7 +62,6 @@ class CrawlCheckpoint:
     cleanly.
     """
 
-    hotlist_size: int
     started_at: int
     pending: List[ScheduledCheck] = field(default_factory=list)
     outcomes: Dict[int, CheckOutcome] = field(default_factory=dict)
@@ -332,7 +331,6 @@ class W3Newer:
                 self.obs.event("w3newer.run_aborted", reason=result.aborted,
                                pending=len(crawl.pending))
                 self.checkpoint = CrawlCheckpoint(
-                    hotlist_size=len(entries),
                     started_at=started_at,
                     pending=list(crawl.pending),
                     outcomes=dict(outcomes),

@@ -18,9 +18,11 @@ typical text where most lines are unique.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress, count, islice
+from operator import ne
 from typing import Dict, Hashable, List, Sequence, Tuple
 
-__all__ = ["hunt_mcilroy_pairs", "hunt_mcilroy_length"]
+__all__ = ["hunt_mcilroy_pairs", "hunt_mcilroy_length", "hunt_mcilroy_window"]
 
 
 def _candidate_chain(
@@ -70,25 +72,43 @@ def _candidate_chain(
     return chain
 
 
+def _common_affixes(a: Sequence[Hashable],
+                    b: Sequence[Hashable]) -> Tuple[int, int]:
+    """(prefix, suffix) lengths of equal lines shared by ``a`` and
+    ``b``, found at C speed; the suffix never overlaps the prefix."""
+    limit = min(len(a), len(b))
+    prefix = next(compress(count(), map(ne, a, b)), limit)
+    bound = limit - prefix
+    suffix = next(compress(count(), map(
+        ne, islice(reversed(a), bound), reversed(b))), bound)
+    return prefix, suffix
+
+
+def hunt_mcilroy_window(
+    a: Sequence[Hashable], b: Sequence[Hashable]
+) -> Tuple[int, int, List[Tuple[int, int]]]:
+    """``(prefix, suffix, core)``: the common-affix lengths, and the LCS
+    pairs of the window between them (absolute indices).  Successive
+    versions share most of their head and tail, so only the window
+    pays for the candidate chain."""
+    n, m = len(a), len(b)
+    prefix, suffix = _common_affixes(a, b)
+    if prefix + suffix == min(n, m):
+        return prefix, suffix, []  # one side's window is empty
+    core = _candidate_chain(a[prefix:n - suffix], b[prefix:m - suffix])
+    if prefix:
+        core = [(i + prefix, j + prefix) for i, j in core]
+    return prefix, suffix, core
+
+
 def hunt_mcilroy_pairs(
     a: Sequence[Hashable], b: Sequence[Hashable]
 ) -> List[Tuple[int, int]]:
     """Matched (index_in_a, index_in_b) pairs of an LCS of ``a`` and ``b``."""
-    if not a or not b:
-        return []
-    # Common-affix trimming keeps the candidate set small on typical
-    # successive-version inputs.
     n, m = len(a), len(b)
-    prefix = 0
-    limit = min(n, m)
-    while prefix < limit and a[prefix] == b[prefix]:
-        prefix += 1
-    suffix = 0
-    while suffix < limit - prefix and a[n - 1 - suffix] == b[m - 1 - suffix]:
-        suffix += 1
-    core = _candidate_chain(a[prefix:n - suffix], b[prefix:m - suffix])
+    prefix, suffix, core = hunt_mcilroy_window(a, b)
     pairs = [(i, i) for i in range(prefix)]
-    pairs.extend((i + prefix, j + prefix) for i, j in core)
+    pairs.extend(core)
     pairs.extend(
         (n - suffix + k, m - suffix + k) for k in range(suffix)
     )

@@ -6,20 +6,30 @@ The scripts use the classic ``diff -n`` command set — ``aN M`` (append M
 lines after line N) and ``dN M`` (delete M lines starting at line N) —
 which this module reproduces, along with a unified-diff renderer for the
 ``rcsdiff`` CGI of Section 8.1.
+
+The snapshot journal stores the *forward* script of each new revision
+(previous revision → this one).  :func:`invert_edit_script` derives it
+from the reverse delta a check-in already computed, in time
+proportional to the script, not to the page.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Type
 
-from .huntmcilroy import hunt_mcilroy_pairs
+from .huntmcilroy import hunt_mcilroy_pairs, hunt_mcilroy_window
 
 __all__ = [
     "EditCommand",
     "EditScript",
     "make_edit_script",
     "apply_edit_script",
+    "invert_edit_script",
+    "deleted_lines",
+    "format_edit_script",
+    "parse_edit_script",
     "script_size",
     "unified_diff",
 ]
@@ -64,19 +74,21 @@ def make_edit_script(old: Sequence[str], new: Sequence[str]) -> EditScript:
     Commands are emitted top-to-bottom and reference *original* line
     numbers of ``old``, matching the RCS convention (so they must be
     applied with the offset bookkeeping in :func:`apply_edit_script`).
+    Only the window between the common prefix and suffix is matched:
+    the affixes hold no command.
     """
-    pairs = hunt_mcilroy_pairs(list(old), list(new))
+    prefix, suffix, pairs = hunt_mcilroy_window(old, new)
+    pairs.append((len(old) - suffix, len(new) - suffix))
     script: EditScript = []
-    ai = bi = 0
-    for pi, pj in pairs + [(len(old), len(new))]:
+    ai = bi = prefix
+    for pi, pj in pairs:
         deleted = pi - ai
-        inserted_lines = tuple(new[bi:pj])
         if deleted:
             script.append(EditCommand("d", ai + 1, deleted))
-        if inserted_lines:
+        if pj > bi:
             # Insert after the last surviving old line, i.e. after
             # original line ``pi`` once the deletions above are applied.
-            script.append(EditCommand("a", pi, len(inserted_lines), inserted_lines))
+            script.append(EditCommand("a", pi, pj - bi, tuple(new[bi:pj])))
         ai = pi + 1
         bi = pj + 1
     return script
@@ -106,6 +118,84 @@ def apply_edit_script(old: Sequence[str], script: EditScript) -> List[str]:
             result.extend(cmd.lines)
     result.extend(old[cursor:])
     return result
+
+
+def invert_edit_script(script: EditScript,
+                       source: Sequence[str]) -> EditScript:
+    """The script turning ``apply_edit_script(source, script)`` back
+    into ``source``, in the command order :func:`make_edit_script`
+    emits.
+
+    A deletion of ``source`` lines becomes an append of those lines, and
+    an append becomes a deletion of the lines it added, so the cost is
+    the script's commands plus the lines it deletes; ``source`` is only
+    sliced there.  ``shift`` is the result's line number minus
+    ``source``'s over the lines both keep.
+    """
+    out: EditScript = []
+    shift = 0
+    for cmd in script:
+        if cmd.kind == "d":
+            start = cmd.line - 1
+            out.append(EditCommand("a", start + shift, cmd.count,
+                                   tuple(source[start:start + cmd.count])))
+            shift -= cmd.count
+            continue
+        delete = EditCommand("d", cmd.line + shift + 1, cmd.count)
+        shift += cmd.count
+        last = out[-1] if out else None
+        if (last is not None and last.kind == "a"
+                and last.line == delete.line - 1):
+            # One changed stretch: delete first, then append after the
+            # last deleted line.
+            out[-1] = delete
+            out.append(EditCommand("a", last.line + cmd.count, last.count,
+                                   last.lines))
+        else:
+            out.append(delete)
+    return out
+
+
+def deleted_lines(source: Sequence[str], script: EditScript) -> List[str]:
+    """The lines of ``source`` that ``script`` deletes, in order."""
+    return [line for cmd in script if cmd.kind == "d"
+            for line in source[cmd.line - 1:cmd.line - 1 + cmd.count]]
+
+
+def format_edit_script(script: EditScript) -> str:
+    """``script`` in the RCS delta text format."""
+    return "\n".join(cmd.serialize() for cmd in script)
+
+
+_COMMAND = re.compile(r"([ad])(\d+) (\d+)")
+
+
+def parse_edit_script(
+    text: str, error: Type[Exception] = ValueError
+) -> EditScript:
+    """Parse :func:`format_edit_script` output back into commands;
+    raises ``error`` on a malformed command or a cut payload."""
+    script: EditScript = []
+    lines = text.split("\n")
+    index = 0
+    while index < len(lines):
+        line = lines[index]
+        index += 1
+        if not line.strip():
+            continue
+        match = _COMMAND.fullmatch(line.strip())
+        if not match:
+            raise error(f"bad edit command: {line!r}")
+        kind, anchor, count = match.group(1), int(match.group(2)), int(match.group(3))
+        if kind == "d":
+            script.append(EditCommand("d", anchor, count))
+        else:
+            payload = tuple(lines[index:index + count])
+            if len(payload) != count:
+                raise error("append command truncated")
+            index += count
+            script.append(EditCommand("a", anchor, count, payload))
+    return script
 
 
 def script_size(script: EditScript) -> int:

@@ -74,12 +74,16 @@ def frame(payload: bytes) -> bytes:
 
 def append(path: str, payloads: Iterable[bytes]) -> int:
     """Frame and append ``payloads`` to ``path`` in one write, flushed
-    and fsynced; returns how many."""
+    and fsynced; returns how many.  A missing directory is created."""
     chunks = [frame(payload) for payload in payloads]
     if not chunks:
         return 0
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "ab") as handle:
+    try:
+        handle = open(path, "ab")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        handle = open(path, "ab")
+    with handle:
         handle.write(b"".join(chunks))
         handle.flush()
         os.fsync(handle.fileno())

@@ -42,8 +42,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..diffcore.textdiff import (
+    EditCommand,
     EditScript,
     apply_edit_script,
+    invert_edit_script,
     make_edit_script,
     script_size,
 )
@@ -137,10 +139,8 @@ class RcsArchive:
 
         Keyframes are excluded — they are reconstructible acceleration
         state, not archive storage (see :meth:`keyframe_bytes`)."""
-        head = sum(len(line) + 1 for line in self._head_lines)
-        deltas = sum(rev.info.stored_bytes for rev in self._revisions[:-1])
-        metadata = 64 * len(self._revisions)
-        return head + deltas + metadata
+        stored = sum(rev.info.stored_bytes for rev in self._revisions)
+        return stored + 64 * len(self._revisions)
 
     def keyframe_bytes(self) -> int:
         """Memory held by keyframe checkpoints (0 when disabled)."""
@@ -193,7 +193,7 @@ class RcsArchive:
             date=date,
             author=author,
             log=log,
-            stored_bytes=sum(len(line) + 1 for line in new_lines),
+            stored_bytes=len(text) + 1,
         )
         if self._dates and date < self._dates[-1]:
             self._dates_monotonic = False
@@ -202,6 +202,36 @@ class RcsArchive:
         self._revisions.append(_StoredRevision(info=info, reverse_delta=None))
         self._head_lines = new_lines
         return number, True
+
+    def forward_deltas(
+        self, done: int
+    ) -> List[Tuple[RevisionInfo, EditScript, List[str], List[str]]]:
+        """``(info, script, cut, lines)`` for each revision after the
+        oldest ``done``, oldest first: ``script`` turns the previous
+        revision's lines (none, for 1.1) into ``lines``, deleting the
+        lines ``cut`` of it.
+
+        Each script is the inverse of the reverse delta stored for the
+        previous revision (whose appends are the lines cut), so for the
+        newest revision it costs what changed; each older one also pays
+        one delta application to rebuild its text.
+        """
+        out = []
+        lines = self._head_lines
+        for pos in range(len(self._revisions) - 1, done - 1, -1):
+            if pos:
+                reverse = self._revisions[pos - 1].reverse_delta
+                script = invert_edit_script(reverse, lines)
+                cut = [line for cmd in reverse if cmd.kind == "a"
+                       for line in cmd.lines]
+            else:
+                script = [EditCommand("a", 0, len(lines), tuple(lines))]
+                cut = []
+            out.append((self._revisions[pos].info, script, cut, lines))
+            if pos > done:
+                lines = apply_edit_script(lines, reverse)
+        out.reverse()
+        return out
 
     def drop_head(self, number: str) -> None:
         """Undo the most recent :meth:`checkin` (transaction rollback).

@@ -17,7 +17,11 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple, Type
 
-from ..diffcore.textdiff import EditCommand, EditScript, script_size
+from ..diffcore.textdiff import (
+    format_edit_script,
+    parse_edit_script,
+    script_size,
+)
 from .archive import RcsArchive, RevisionInfo, _StoredRevision
 
 __all__ = [
@@ -63,10 +67,6 @@ def read_at_string(
         return "".join(out), next_at + 1
 
 
-def _format_script(script: EditScript) -> str:
-    return "\n".join(cmd.serialize() for cmd in script)
-
-
 def serialize_rcsfile(archive: RcsArchive) -> str:
     """Render an archive in the ,v shape."""
     revisions = archive.revisions()
@@ -108,7 +108,7 @@ def serialize_rcsfile(archive: RcsArchive) -> str:
         if stored.reverse_delta is None:
             lines.append(quote_at_string(archive.checkout(info.number)))
         else:
-            lines.append(quote_at_string(_format_script(stored.reverse_delta)))
+            lines.append(quote_at_string(format_edit_script(stored.reverse_delta)))
     return "\n".join(lines) + "\n"
 
 
@@ -143,31 +143,6 @@ class _Reader:
 
 
 _REV_LINE = re.compile(r"\d+\.\d+")
-
-
-def _parse_script(text: str) -> EditScript:
-    """Parse a serialized diff -n script back into commands."""
-    script: EditScript = []
-    lines = text.split("\n")
-    index = 0
-    while index < len(lines):
-        line = lines[index]
-        index += 1
-        if not line.strip():
-            continue
-        match = re.fullmatch(r"([ad])(\d+) (\d+)", line.strip())
-        if not match:
-            raise RcsParseError(f"bad edit command: {line!r}")
-        kind, anchor, count = match.group(1), int(match.group(2)), int(match.group(3))
-        if kind == "d":
-            script.append(EditCommand("d", anchor, count))
-        else:
-            payload = tuple(lines[index:index + count])
-            if len(payload) != count:
-                raise RcsParseError("append command truncated")
-            index += count
-            script.append(EditCommand("a", anchor, count, payload))
-    return script
 
 
 def parse_rcsfile(text: str) -> RcsArchive:
@@ -260,12 +235,12 @@ def parse_rcsfile(text: str) -> RcsArchive:
             log=logs.get(number, ""),
         )
         if number == head_number:
-            info.stored_bytes = sum(len(l) + 1 for l in archive._head_lines)
+            info.stored_bytes = len(texts[head_number]) + 1
             archive._revisions.append(
                 _StoredRevision(info=info, reverse_delta=None)
             )
         else:
-            delta = _parse_script(texts[number])
+            delta = parse_edit_script(texts[number], RcsParseError)
             info.stored_bytes = script_size(delta)
             archive._revisions.append(
                 _StoredRevision(info=info, reverse_delta=delta)

@@ -14,9 +14,10 @@ from repro.core.snapshot.journal import (
     JournalError,
     JournalRecord,
     _Scanner,
-    append_records,
+    append_entries,
     clear_journal,
     read_journal,
+    text_crc,
 )
 from repro.core.snapshot.persistence import (
     append_store,
@@ -25,6 +26,7 @@ from repro.core.snapshot.persistence import (
     save_store,
 )
 from repro.core.snapshot.store import SnapshotStore, StoreOptions
+from repro.diffcore.textdiff import EditCommand
 from repro.rcs.rcsfile import RcsParseError, serialize_rcsfile
 from repro.simclock import HOUR, SimClock
 from repro.web.client import UserAgent
@@ -49,6 +51,16 @@ def feed(clock, store, url, texts, user="fred@att.com"):
     for text in texts:
         clock.advance(HOUR)
         store.checkin_content(user, url, text)
+
+
+def first_revision(url, date, author, log, text):
+    """The record of ``text`` checked in as 1.1: one append of every
+    line onto the empty document."""
+    lines = tuple(text.split("\n"))
+    return JournalRecord(url=url, revision="1.1", date=date, author=author,
+                         log=log, script=(EditCommand("a", 0, len(lines),
+                                                      lines),),
+                         crc=text_crc(text), cut_crc=text_crc(""))
 
 
 def serialized_archives(store):
@@ -79,22 +91,26 @@ class TestAtStrings:
 class TestJournalRecords:
     def test_roundtrip_with_awkward_payloads(self, tmp_path):
         records = [
-            JournalRecord(url="http://x/?a=1&b=@2", revision="1.1",
-                          date=7, author="user@host", log="log @ line",
-                          text="body with @@ and\nnewlines\n\tand tabs"),
-            JournalRecord(url=URL_B, revision="1.2", date=8,
-                          author="", log="", text=""),
+            first_revision("http://x/?a=1&b=@2", 7, "user@host",
+                           "log @ line",
+                           "body with @@ and\nnewlines\n\tand tabs\r\n@"),
+            JournalRecord(url=URL_B, revision="1.2", date=8, author="",
+                          log="", script=(EditCommand("d", 1, 1),
+                                          EditCommand("a", 1, 1, ("",))),
+                          crc=text_crc(""), cut_crc=text_crc("@")),
         ]
-        assert append_records(str(tmp_path), records) == 2
+        assert append_entries(str(tmp_path), records) == 2
         assert read_journal(str(tmp_path)) == records
 
     def test_appends_accumulate(self, tmp_path):
-        first = JournalRecord(url=URL_A, revision="1.1", date=1,
-                              author="a", log="", text="one")
-        second = JournalRecord(url=URL_A, revision="1.2", date=2,
-                               author="a", log="", text="two")
-        append_records(str(tmp_path), [first])
-        append_records(str(tmp_path), [second])
+        first = first_revision(URL_A, 1, "a", "", "one")
+        second = JournalRecord(url=URL_A, revision="1.2", date=2, author="a",
+                               log="", script=(EditCommand("d", 1, 1),
+                                               EditCommand("a", 1, 1,
+                                                           ("two",))),
+                               crc=text_crc("two"), cut_crc=text_crc("one"))
+        append_entries(str(tmp_path), [first])
+        append_entries(str(tmp_path), [second])
         assert read_journal(str(tmp_path)) == [first, second]
 
     def test_missing_journal_reads_empty(self, tmp_path):
@@ -215,7 +231,7 @@ class TestAppendStore:
         # Corrupt the journal: duplicate the last record so replay
         # produces an unchanged check-in.
         records = read_journal(str(tmp_path))
-        append_records(str(tmp_path), [records[-1]])
+        append_entries(str(tmp_path), [records[-1]])
         _clock2, fresh = make_store(clock)
         with pytest.raises(JournalError):
             load_store(fresh, str(tmp_path))

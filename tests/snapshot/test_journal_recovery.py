@@ -17,9 +17,9 @@ from repro.core.snapshot.journal import (
     JournalRecord,
     SeenRecord,
     append_entries,
-    append_records,
     read_journal,
     scan_journal,
+    text_crc,
 )
 from repro.core.snapshot.persistence import (
     JournalRecoveryWarning,
@@ -29,6 +29,7 @@ from repro.core.snapshot.persistence import (
     verify_store,
 )
 from repro.core.snapshot.store import SnapshotStore, StoreOptions
+from repro.diffcore.textdiff import deleted_lines, make_edit_script
 from repro.rcs.rcsfile import serialize_rcsfile
 from repro.simclock import HOUR, SimClock
 from repro.web.client import UserAgent
@@ -157,10 +158,15 @@ class TestTornTailRecovery:
         # new appends produce a loadable stream.
         assert scan_journal(str(directory)).clean
         if torn == "revision":
-            append_records(str(directory), [JournalRecord(
+            text = "<P>version 2 rewritten</P>\n"
+            (archive,) = fresh.archives.values()
+            head = archive.checkout().split("\n")
+            script = make_edit_script(head, text.split("\n"))
+            append_entries(str(directory), [JournalRecord(
                 url=URL, revision="1.3", date=clock.now + 1,
                 author="fred@att.com", log="re-checkin",
-                text="<P>version 2 rewritten</P>\n",
+                script=tuple(script), crc=text_crc(text),
+                cut_crc=text_crc("\n".join(deleted_lines(head, script))),
             )])
         else:
             append_entries(str(directory), [SeenRecord(
@@ -276,7 +282,7 @@ class TestVerifyStore:
         feed(clock, store, URL, ["<P>a</P>", "<P>b</P>"])
         append_store(store, str(tmp_path))
         records = read_journal(str(tmp_path))
-        append_records(str(tmp_path), [records[-1]])  # duplicate
+        append_entries(str(tmp_path), [records[-1]])  # duplicate
         report = verify_store(str(tmp_path))
         assert not report.ok
         assert any("replay" in problem for problem in report.problems)

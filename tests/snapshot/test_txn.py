@@ -131,7 +131,7 @@ class TestCommit:
         with pytest.raises(WalError):
             txn.commit()
         with pytest.raises(WalError):
-            txn.log_rev(URL, "1.1", V1, "late")
+            txn.log_rev(URL, "1.1", "late")
         with pytest.raises(WalError):
             txn.abort()
 

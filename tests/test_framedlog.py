@@ -21,9 +21,11 @@ from repro.core.snapshot.journal import (
     JournalRecord,
     TxnCommit,
     append_entries,
+    text_crc,
 )
 from repro.core.snapshot.persistence import append_store, load_store
 from repro.core.snapshot.store import SnapshotStore, StoreOptions
+from repro.diffcore.textdiff import EditCommand
 from repro.serve.replication import HANDOFF_NAME, HandoffJournal
 from repro.simclock import HOUR, SimClock
 
@@ -54,13 +56,15 @@ class TestWireFormat:
         append_entries(str(tmp_path), [
             TxnCommit(txn="t1"),
             JournalRecord(url="http://a/x", revision="1.1", date=7,
-                          author="a@b", log="l", text="body @ x\n",
+                          author="a@b", log="l",
+                          script=(EditCommand("a", 0, 2, ("body @ x", "")),),
+                          crc=text_crc("body @ x\n"), cut_crc=text_crc(""),
                           txn="t1"),
         ])
         assert (tmp_path / JOURNAL_NAME).read_bytes() == (
             b"frame 10 d0de7808\ncommit\tt1\n"
-            b"frame 54 17fffff6\nrev\t@http://a/x@\t1.1\t7\t@a@@b@\t"
-            b"txn=t1\n@l@\n@body @@ x\n@\n"
+            b"frame 79 a32f237a\ndelta\t@http://a/x@\t1.1\t7\t@a@@b@\t"
+            b"ab28105d\t00000000\ttxn=t1\n@l@\n@a0 2\nbody @@ x\n@\n"
         )
 
 
@@ -87,6 +91,26 @@ class TestAppend:
         with open(path, "rb") as handle:
             assert handle.read() == b"".join(
                 framedlog.frame(p) for p in (b"a\n", b"b\n", b"c\n"))
+
+    def test_missing_directory_is_created_once(self, tmp_path, monkeypatch):
+        made = []
+        real = os.makedirs
+
+        def counting(name, *args, **kwargs):
+            made.append(name)
+            real(name, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", counting)
+        path = str(tmp_path / "a" / "b" / "x.log")
+        assert framedlog.append(path, [b"one\n"]) == 1
+        # (makedirs calls itself for each missing parent.)
+        assert made[0] == str(tmp_path / "a" / "b")
+        calls = len(made)
+        # The directory exists now: later appends only open the file.
+        assert framedlog.append(path, [b"two\n"]) == 1
+        assert len(made) == calls
+        assert framedlog.read(path) == (framedlog.frame(b"one\n")
+                                        + framedlog.frame(b"two\n"))
 
     def test_nothing_to_append_touches_nothing(self, tmp_path, fsyncs):
         path = str(tmp_path / "x.log")

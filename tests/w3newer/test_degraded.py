@@ -134,7 +134,6 @@ class TestCheckpointResume:
         assert result.aborted
         checkpoint = tracker.checkpoint
         assert isinstance(checkpoint, CrawlCheckpoint)
-        assert checkpoint.hotlist_size == 10
         # Every URL is either decided or still pending, never both; the
         # aborting URL (its outcome never recorded) is retried first.
         pending = [check.index for check in checkpoint.pending]
